@@ -7,7 +7,7 @@ is aligned in closed form, and target samples are classified by a nearest
 neighbour in the shared coordinates.
 """
 
-from .alignment import AlignedBasis, align_pair, build_features
+from .alignment import align_pair, build_features
 from .classify import PredictionResult, evaluate_accuracy, nn_classify
 from .exceptions import (
     ConfigError,
@@ -46,7 +46,6 @@ __all__ = [
     "AdaptationConfig",
     "AdaptationReport",
     "AdaptationResult",
-    "AlignedBasis",
     "BenchmarkResult",
     "ConfigError",
     "DataFileError",

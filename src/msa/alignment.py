@@ -1,173 +1,87 @@
 """Closed-form alignment of matched subspace pairs and feature construction.
 
 For a matched pair with source basis Bs and target basis Bt, the transform
-A* = Bs^T Bt minimises ||Bs A - Bt||_F over all square matrices A, so the
-aligned basis Bs A* = Bs Bs^T Bt carries source samples into the target
-subspace's frame.  Source samples are projected through the aligned basis of
-their own subspace's pair; target samples are projected onto their own
-subspace directly.
+A = Bs^T Bt minimises ||Bs A - Bt||_F over all square matrices A.  Every
+domain fit already carries each sample's coordinates in its own subspace
+(``SubspaceCollection.coords``), so a source sample's aligned features are
+its coordinates times the A of its subspace's pair, and a target sample's
+features are its own coordinates.  This is the feature form of subspace
+alignment (Fernando et al., ICCV 2013); no d-dimensional sample is touched.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .exceptions import ConfigError, DegenerateDataError, DimensionMismatchError
+from .exceptions import ConfigError, DimensionMismatchError
 from .matching import Matching
 from .multifit import SubspaceCollection
-from .subspace import FeatureMatrix, Subspace, _frozen_array, project
+from .subspace import Subspace
 
 
-@dataclass(frozen=True, eq=False)
-class AlignedBasis:
-    """A source basis mapped into a matched target subspace's frame.
-
-    The basis is a contraction rather than an orthonormal frame: its
-    Frobenius norm is at most sqrt(r).  ``source_mean`` is the centring
-    offset of the source subspace the basis came from.
-    """
-
-    source_id: int
-    target_id: int
-    basis: np.ndarray
-    source_mean: np.ndarray
-
-    def __post_init__(self):
-        basis = _frozen_array(self.basis)
-        mean = _frozen_array(self.source_mean)
-        if basis.ndim != 2 or basis.shape[1] < 1:
-            raise DimensionMismatchError(
-                f"aligned basis must be d x r, got shape {basis.shape}"
-            )
-        if mean.shape != (basis.shape[0],):
-            raise DimensionMismatchError(
-                f"source mean must have length {basis.shape[0]}, "
-                f"got shape {mean.shape}"
-            )
-        r = basis.shape[1]
-        norm = float(np.linalg.norm(basis))
-        if norm > np.sqrt(r) + 1e-8:
-            raise DegenerateDataError(
-                f"aligned basis norm {norm:.6f} exceeds sqrt(r); "
-                "inputs were not orthonormal"
-            )
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "source_mean", mean)
-
-    @property
-    def rank(self) -> int:
-        return self.basis.shape[1]
-
-
-def align_pair(
-    source: Subspace,
-    target: Subspace,
-    source_id: int = 0,
-    target_id: int = 0,
-) -> AlignedBasis:
-    """Align one source subspace with its matched target subspace.
+def align_pair(source: Subspace, target: Subspace) -> np.ndarray:
+    """The closed-form transform aligning a source subspace with its match.
 
     If the ranks differ, both bases are first truncated to their leading
-    min(r_source, r_target) columns, so the aligned basis always has the
-    (possibly truncated) target rank.
+    r0 = min(r_source, r_target) columns.
 
     Args:
         source: subspace fitted on source samples.
         target: matched subspace fitted on target samples.
-        source_id: id of the source subspace, recorded on the result.
-        target_id: id of the target subspace, recorded on the result.
 
     Returns:
-        AlignedBasis of shape (d, min(r_source, r_target)).
+        The (r0, r0) matrix Bs[:, :r0]^T Bt[:, :r0].
     """
     if source.ambient_dim != target.ambient_dim:
         raise DimensionMismatchError(
             f"subspaces live in different ambient dimensions "
             f"({source.ambient_dim} vs {target.ambient_dim})"
         )
-    r = min(source.rank, target.rank)
-    bs = source.basis[:, :r]
-    bt = target.basis[:, :r]
-    transform = bs.T @ bt
-    return AlignedBasis(
-        source_id=source_id,
-        target_id=target_id,
-        basis=bs @ transform,
-        source_mean=source.mean,
-    )
+    r0 = min(source.rank, target.rank)
+    return source.basis[:, :r0].T @ target.basis[:, :r0]
 
 
 def build_features(
-    source_data,
-    target_data,
-    source_collection: SubspaceCollection,
-    target_collection: SubspaceCollection,
+    source_fit: SubspaceCollection,
+    target_fit: SubspaceCollection,
     matching: Matching,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Project both domains into a shared coordinate dimension.
+    """Map both domains' subspace coordinates into a shared dimension.
 
-    Every source sample is projected through the aligned basis of the pair
-    its subspace belongs to, centred by that subspace's fitting mean.  Every
-    target sample is projected onto its own subspace.  All bases are
-    truncated to the minimum rank occurring anywhere in the pipeline so that
-    the two outputs share one coordinate dimension.
+    The rows of source subspace s are ``coords_s[:, :r0] @ A[:, :r]`` with
+    A = align_pair(s, t) for its matched target t and r0 the pair's minimum
+    rank.  The rows of target subspace t are ``coords_t[:, :r]``.  The shared
+    dimension r is the minimum rank occurring anywhere in the pipeline.
 
     Args:
-        source_data: FeatureMatrix or (N_s, d) array of source samples.
-        target_data: FeatureMatrix or (N_t, d) array of target samples.
-        source_collection: decomposition of the source samples.
-        target_collection: decomposition of the target samples.
+        source_fit: decomposition of the source samples.
+        target_fit: decomposition of the target samples.
         matching: pairing of source subspace ids with target subspace ids.
 
     Returns:
-        (source_features, target_features) of shapes (N_s, r) and (N_t, r).
+        (source_features, target_features) of shapes (N_s, r) and (N_t, r),
+        rows in the order of the fitted samples.
     """
-    Xs = source_data.data if isinstance(source_data, FeatureMatrix) else np.asarray(source_data, dtype=np.float64)
-    Xt = target_data.data if isinstance(target_data, FeatureMatrix) else np.asarray(target_data, dtype=np.float64)
-    if Xs.shape[0] != source_collection.assignment.shape[0]:
-        raise DimensionMismatchError(
-            "source data and source collection disagree on the sample count"
-        )
-    if Xt.shape[0] != target_collection.assignment.shape[0]:
-        raise DimensionMismatchError(
-            "target data and target collection disagree on the sample count"
-        )
-
-    matched_sources = {sid for sid, _, _ in matching.pairs}
-    if matched_sources != set(source_collection.ids):
+    if {sid for sid, _, _ in matching.pairs} != set(source_fit.ids):
         raise ConfigError(
             "matching does not cover every source subspace exactly once"
         )
-
-    aligned = {
-        sid: align_pair(
-            source_collection.subspace(sid),
-            target_collection.subspace(tid),
-            source_id=sid,
-            target_id=tid,
-        )
+    transforms = {
+        sid: align_pair(source_fit.subspace(sid), target_fit.subspace(tid))
         for sid, tid, _ in matching.pairs
     }
-
     r = min(
-        min(a.rank for a in aligned.values()),
-        min(s.rank for s in target_collection.subspaces),
+        min(a.shape[1] for a in transforms.values()),
+        min(s.rank for s in target_fit.subspaces),
     )
-    if r < 1:
-        raise DegenerateDataError("cannot harmonise ranks: a basis has rank 0")
 
-    source_features = np.empty((Xs.shape[0], r))
-    for sid in source_collection.ids:
-        mask = source_collection.assignment == sid
-        ab = aligned[sid]
-        source_features[mask] = project(Xs[mask], ab.basis[:, :r], ab.source_mean)
+    source_features = np.empty((source_fit.assignment.shape[0], r))
+    for sid, coords in zip(source_fit.ids, source_fit.coords):
+        a = transforms[sid]
+        source_features[source_fit.assignment == sid] = coords[:, : a.shape[0]] @ a[:, :r]
 
-    target_features = np.empty((Xt.shape[0], r))
-    for tid in target_collection.ids:
-        mask = target_collection.assignment == tid
-        sub = target_collection.subspace(tid)
-        target_features[mask] = project(Xt[mask], sub.basis[:, :r], sub.mean)
+    target_features = np.empty((target_fit.assignment.shape[0], r))
+    for tid, coords in zip(target_fit.ids, target_fit.coords):
+        target_features[target_fit.assignment == tid] = coords[:, :r]
 
     return source_features, target_features

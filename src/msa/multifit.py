@@ -13,7 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConfigError, DegenerateDataError, DimensionMismatchError
-from .subspace import FeatureMatrix, Subspace, fit_pca, reconstruction_errors
+from .subspace import (
+    Subspace,
+    _frozen_array,
+    _sample_array,
+    fit_pca,
+    reconstruction_errors,
+)
 
 
 @dataclass(frozen=True)
@@ -51,12 +57,17 @@ class SubspaceCollection:
     maps each sample (by row index in the fitted data) to the id of the
     subspace it belongs to; every id appears at least once.
 
+    ``coords`` holds one read-only block per subspace: block i is the
+    (count_i, rank_i) matrix of coordinates, in subspace i+1's frame, of the
+    samples assigned to it, in row order.
+
     ``tau_escalations`` counts how many times the fitting loop had to relax
     its error threshold to make progress; it is 0 on well-behaved data.
     """
 
     subspaces: tuple[Subspace, ...]
     assignment: np.ndarray
+    coords: tuple[np.ndarray, ...]
     tau_escalations: int = 0
 
     def __post_init__(self):
@@ -81,8 +92,17 @@ class SubspaceCollection:
             missing = sorted(set(range(1, m + 1)) - set(present.tolist()))
             raise DegenerateDataError(f"subspace ids {missing} have no samples")
         assignment.setflags(write=False)
+        coords = tuple(_frozen_array(block) for block in self.coords)
+        counts = np.bincount(assignment, minlength=m + 1)[1:]
+        shapes = [block.shape for block in coords]
+        expected = [(int(c), s.rank) for c, s in zip(counts, subspaces)]
+        if shapes != expected:
+            raise DimensionMismatchError(
+                f"coordinate blocks have shapes {shapes}, expected {expected}"
+            )
         object.__setattr__(self, "subspaces", subspaces)
         object.__setattr__(self, "assignment", assignment)
+        object.__setattr__(self, "coords", coords)
 
     @property
     def ids(self) -> tuple[int, ...]:
@@ -131,11 +151,10 @@ def fit_multi(data, config: FitConfig) -> SubspaceCollection:
         config: fitting settings; config.k must not exceed d.
 
     Returns:
-        SubspaceCollection over the input samples.
+        SubspaceCollection over the input samples, with every sample's
+        coordinates in the subspace it is assigned to.
     """
-    X = data.data if isinstance(data, FeatureMatrix) else np.asarray(data, dtype=np.float64)
-    if X.ndim != 2:
-        raise DimensionMismatchError(f"expected an (N, d) array, got shape {X.shape}")
+    X = _sample_array(data)
     n, d = X.shape
     if n < 2:
         raise DegenerateDataError(f"need at least 2 samples, got {n}")
@@ -201,5 +220,9 @@ def fit_multi(data, config: FitConfig) -> SubspaceCollection:
     return SubspaceCollection(
         subspaces=tuple(subspaces),
         assignment=assignment,
+        coords=tuple(
+            sub.project(X[assignment == sid])
+            for sid, sub in enumerate(subspaces, start=1)
+        ),
         tau_escalations=escalations,
     )

@@ -46,8 +46,6 @@ class AdaptationConfig:
         tau_t: target-domain inlier threshold in (0, 1].
         method: "proposed", "na" (no adaptation) or "sa" (single subspace).
         max_subspaces: cap on subspaces per domain.
-        seed: reserved for randomised components; the pipeline itself is
-            deterministic.
     """
 
     k: int
@@ -55,7 +53,6 @@ class AdaptationConfig:
     tau_t: float = 0.3
     method: str = "proposed"
     max_subspaces: int = 16
-    seed: int = 0
 
     def __post_init__(self):
         if not isinstance(self.k, (int, np.integer)) or self.k < 1:
@@ -153,7 +150,8 @@ def adapt(
         source_name: domain name recorded in the report.
         target_name: domain name recorded in the report.
         fit_cache: optional mapping used to reuse domain decompositions
-            across runs, keyed by (domain name, k, tau).
+            across runs, keyed by (domain name, k, tau, max_subspaces); an
+            entry is reused only for the very data object it was fitted on.
 
     Returns:
         AdaptationResult with predictions, report and projected features.
@@ -178,14 +176,16 @@ def adapt(
             tau_s = tau_t = 1.0
 
         def fit_domain(data, name, tau):
-            key = (name, config.k, tau)
+            key = (name, config.k, tau, config.max_subspaces)
             if fit_cache is not None and key in fit_cache:
-                return fit_cache[key]
+                cached_data, fit = fit_cache[key]
+                if cached_data is data:
+                    return fit
             fit = fit_multi(
                 data, FitConfig(k=config.k, tau=tau, max_subspaces=config.max_subspaces)
             )
             if fit_cache is not None:
-                fit_cache[key] = fit
+                fit_cache[key] = (data, fit)
             return fit
 
         src_fit = _run_stage(stages, "fit_source", fit_domain, source, source_name, tau_s)
@@ -193,8 +193,7 @@ def adapt(
         distances = _run_stage(stages, "distance_matrix", distance_matrix, src_fit, tgt_fit)
         matching = _run_stage(stages, "greedy_match", greedy_match, distances)
         source_features, target_features = _run_stage(
-            stages, "align_project", build_features,
-            source, target, src_fit, tgt_fit, matching,
+            stages, "align_project", build_features, src_fit, tgt_fit, matching,
         )
         num_src, num_tgt = len(src_fit), len(tgt_fit)
 

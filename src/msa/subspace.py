@@ -8,7 +8,6 @@ always computed on centred data.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from msa.alignment import AlignedBasis, align_pair, build_features
-from msa.exceptions import ConfigError, DegenerateDataError, DimensionMismatchError
+from msa.alignment import align_pair, build_features
+from msa.exceptions import ConfigError, DimensionMismatchError
 from msa.grassmann import distance_matrix
 from msa.matching import Matching, greedy_match
 from msa.multifit import FitConfig, fit_multi
-from msa.subspace import FeatureMatrix, Subspace, project
+from msa.subspace import Subspace, project
 
 from conftest import random_orthonormal
 
@@ -21,20 +21,19 @@ def _sub(basis, mean=None):
 class TestAlignPair:
     def test_identical_subspaces_reproduce_target(self, rng):
         basis = random_orthonormal(rng, 6, 2)
-        aligned = align_pair(_sub(basis), _sub(basis))
-        assert np.allclose(aligned.basis, basis, atol=1e-12)
+        transform = align_pair(_sub(basis), _sub(basis))
+        assert np.allclose(basis @ transform, basis, atol=1e-12)
 
     def test_orthogonal_subspaces_collapse(self):
         e = np.eye(4)
-        aligned = align_pair(_sub(e[:, :2]), _sub(e[:, 2:4]))
-        assert np.allclose(aligned.basis, 0.0)
+        transform = align_pair(_sub(e[:, :2]), _sub(e[:, 2:4]))
+        assert np.allclose(transform, 0.0)
 
     def test_transform_is_frobenius_optimal(self, rng):
         """No other r x r transform brings the source basis closer (500 draws)."""
         bs = random_orthonormal(rng, 8, 3)
         bt = random_orthonormal(rng, 8, 3)
-        aligned = align_pair(_sub(bs), _sub(bt))
-        best = np.linalg.norm(aligned.basis - bt)
+        best = np.linalg.norm(bs @ align_pair(_sub(bs), _sub(bt)) - bt)
         for _ in range(500):
             candidate = rng.normal(size=(3, 3)) * rng.uniform(0.2, 2.0)
             assert best <= np.linalg.norm(bs @ candidate - bt) + 1e-9
@@ -55,47 +54,21 @@ class TestAlignPair:
         bs = random_orthonormal(rng, 6, 2)
         q, r = np.linalg.qr(np.eye(6) + 0.3 * rng.normal(size=(6, 6)))
         bt = q @ bs
-        aligned = align_pair(_sub(bs), _sub(bt))
-        assert np.linalg.norm(aligned.basis - bt) < np.linalg.norm(bs - bt)
+        transform = align_pair(_sub(bs), _sub(bt))
+        assert np.linalg.norm(bs @ transform - bt) < np.linalg.norm(bs - bt)
 
     def test_rank_mismatch_truncates(self, rng):
         bs = random_orthonormal(rng, 7, 3)
         bt = random_orthonormal(rng, 7, 2)
-        aligned = align_pair(_sub(bs), _sub(bt))
-        assert aligned.rank == 2
-        expected = bs[:, :2] @ (bs[:, :2].T @ bt)
-        assert np.allclose(aligned.basis, expected, atol=1e-12)
-
-    def test_carries_ids_and_source_mean(self, rng):
-        mean = rng.normal(size=5)
-        bs = random_orthonormal(rng, 5, 2)
-        aligned = align_pair(_sub(bs, mean), _sub(bs), source_id=3, target_id=7)
-        assert aligned.source_id == 3
-        assert aligned.target_id == 7
-        assert np.array_equal(aligned.source_mean, mean)
+        transform = align_pair(_sub(bs), _sub(bt))
+        assert transform.shape == (2, 2)
+        assert np.allclose(transform, bs[:, :2].T @ bt, atol=1e-12)
 
     def test_ambient_mismatch(self, rng):
         with pytest.raises(DimensionMismatchError):
             align_pair(
                 _sub(random_orthonormal(rng, 4, 2)),
                 _sub(random_orthonormal(rng, 5, 2)),
-            )
-
-
-class TestAlignedBasis:
-    def test_norm_bound_enforced(self, rng):
-        # aligned bases are contractions of orthonormal frames
-        with pytest.raises(DegenerateDataError):
-            AlignedBasis(
-                source_id=1, target_id=1,
-                basis=np.eye(3) * 2.0, source_mean=np.zeros(3),
-            )
-
-    def test_mean_length_checked(self):
-        with pytest.raises(DimensionMismatchError):
-            AlignedBasis(
-                source_id=1, target_id=1,
-                basis=np.eye(3)[:, :1], source_mean=np.zeros(2),
             )
 
 
@@ -110,7 +83,7 @@ class TestBuildFeatures:
 
     def test_shapes_and_common_dimension(self, rng):
         Xs, Xt, fs, ft, matching = self._paired_fits(rng)
-        fa, fb = build_features(FeatureMatrix(Xs), FeatureMatrix(Xt), fs, ft, matching)
+        fa, fb = build_features(fs, ft, matching)
         assert fa.shape[0] == Xs.shape[0]
         assert fb.shape[0] == Xt.shape[0]
         assert fa.shape[1] == fb.shape[1]
@@ -119,39 +92,35 @@ class TestBuildFeatures:
 
     def test_rows_follow_assignments(self, rng):
         Xs, Xt, fs, ft, matching = self._paired_fits(rng)
-        fa, fb = build_features(FeatureMatrix(Xs), FeatureMatrix(Xt), fs, ft, matching)
+        fa, fb = build_features(fs, ft, matching)
         r = fa.shape[1]
-        tid = matching.target_for(1)
-        src = fs.subspace(1)
-        tgt = ft.subspace(tid)
-        bs = src.basis[:, : min(src.rank, tgt.rank)]
-        aligned = bs @ (bs.T @ tgt.basis[:, : bs.shape[1]])
-        mask = fs.assignment == 1
-        expected = project(Xs[mask], aligned[:, :r], src.mean)
-        assert np.allclose(fa[mask], expected, atol=1e-12)
-        tmask = ft.assignment == tid
-        expected_t = project(Xt[tmask], tgt.basis[:, :r], tgt.mean)
-        assert np.allclose(fb[tmask], expected_t, atol=1e-12)
+        # Independent of the coordinate form: the d x r aligned basis
+        # Bs Bs^T Bt applied to the raw samples of each pair.
+        for sid, tid, _ in matching.pairs:
+            src = fs.subspace(sid)
+            tgt = ft.subspace(tid)
+            bs = src.basis[:, : min(src.rank, tgt.rank)]
+            bt = tgt.basis[:, : bs.shape[1]]
+            mask = fs.assignment == sid
+            expected = project(Xs[mask], (bs @ bs.T @ bt)[:, :r], src.mean)
+            assert np.allclose(fa[mask], expected, atol=1e-12)
+        for tid in ft.ids:
+            tgt = ft.subspace(tid)
+            tmask = ft.assignment == tid
+            expected_t = project(Xt[tmask], tgt.basis[:, :r], tgt.mean)
+            assert np.allclose(fb[tmask], expected_t, atol=1e-12)
 
     def test_identical_single_subspace_domains_coincide(self, rng):
         basis = random_orthonormal(rng, 5, 2)
         coeff = rng.normal(size=(40, 2))
         X = coeff @ basis.T
-        fm = FeatureMatrix(X)
         fit = fit_multi(X, FitConfig(k=2, tau=1.0))
         matching = greedy_match(distance_matrix(fit, fit))
-        fa, fb = build_features(fm, fm, fit, fit, matching)
+        fa, fb = build_features(fit, fit, matching)
         assert np.allclose(fa, fb, atol=1e-10)
 
     def test_matching_must_cover_sources(self, rng):
-        Xs, Xt, fs, ft, _ = self._paired_fits(rng)
+        _, _, fs, ft, _ = self._paired_fits(rng)
         bogus = Matching(pairs=((99, 1, 0.0),), policy="one_to_one")
         with pytest.raises(ConfigError):
-            build_features(FeatureMatrix(Xs), FeatureMatrix(Xt), fs, ft, bogus)
-
-    def test_sample_count_check(self, rng):
-        Xs, Xt, fs, ft, matching = self._paired_fits(rng)
-        with pytest.raises(DimensionMismatchError):
-            build_features(
-                FeatureMatrix(Xs[:10]), FeatureMatrix(Xt), fs, ft, matching
-            )
+            build_features(fs, ft, bogus)

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
-from msa.exceptions import ConfigError, DegenerateDataError
+from msa.exceptions import ConfigError, DegenerateDataError, DimensionMismatchError
 from msa.multifit import FitConfig, SubspaceCollection, fit_multi
-from msa.subspace import FeatureMatrix, Subspace, fit_pca, reconstruction_errors
+from msa.subspace import FeatureMatrix, Subspace, fit_pca, project, reconstruction_errors
 from msa.synthetic import planted_benchmark
 
 from conftest import random_orthonormal
@@ -36,7 +38,9 @@ class TestSubspaceCollection:
         basis = random_orthonormal(rng, 4, 2)
         sub = Subspace(basis, np.zeros(4))
         coll = SubspaceCollection(
-            subspaces=(sub, sub), assignment=np.array([1, 2, 1, 2])
+            subspaces=(sub, sub),
+            assignment=np.array([1, 2, 1, 2]),
+            coords=(np.zeros((2, 2)), np.zeros((2, 2))),
         )
         assert len(coll) == 2
         assert coll.ids == (1, 2)
@@ -47,12 +51,30 @@ class TestSubspaceCollection:
     def test_every_id_must_appear(self, rng):
         sub = Subspace(random_orthonormal(rng, 4, 2), np.zeros(4))
         with pytest.raises(DegenerateDataError):
-            SubspaceCollection(subspaces=(sub, sub), assignment=np.array([1, 1, 1]))
+            SubspaceCollection(
+                subspaces=(sub, sub),
+                assignment=np.array([1, 1, 1]),
+                coords=(np.zeros((3, 2)), np.zeros((0, 2))),
+            )
 
     def test_assignment_bounds(self, rng):
         sub = Subspace(random_orthonormal(rng, 4, 2), np.zeros(4))
         with pytest.raises(DegenerateDataError):
-            SubspaceCollection(subspaces=(sub,), assignment=np.array([1, 2]))
+            SubspaceCollection(
+                subspaces=(sub,), assignment=np.array([1, 2]), coords=(np.zeros((2, 2)),)
+            )
+
+    def test_coords_shape_checked(self, rng):
+        """Each coordinate block must be (samples assigned, subspace rank)."""
+        sub = Subspace(random_orthonormal(rng, 4, 2), np.zeros(4))
+        assignment = np.array([1, 2, 1])
+        for coords in (
+            (np.zeros((2, 2)), np.zeros((1, 1))),  # wrong rank
+            (np.zeros((1, 2)), np.zeros((2, 2))),  # wrong counts
+            (np.zeros((2, 2)),),  # missing block
+        ):
+            with pytest.raises(DimensionMismatchError):
+                SubspaceCollection(subspaces=(sub, sub), assignment=assignment, coords=coords)
 
 
 class TestFitMulti:
@@ -148,3 +170,25 @@ class TestFitMulti:
     def test_degenerate_pool_rejected(self):
         with pytest.raises(DegenerateDataError):
             fit_multi(np.ones((5, 3)), FitConfig(k=1, tau=0.5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(5, 60),
+    d=st.integers(2, 9),
+    k_frac=st.floats(0.0, 1.0),
+    tau=st.floats(0.05, 1.0),
+    max_subspaces=st.integers(1, 6),
+)
+def test_coords_are_projections_of_assigned_samples(seed, n, d, k_frac, tau, max_subspaces):
+    """Every coords block is its members projected onto its own subspace."""
+    rng = np.random.default_rng(seed)
+    k = 1 + int(k_frac * (min(n - 1, d) - 1))
+    X = rng.normal(size=(n, d))
+    fit = fit_multi(X, FitConfig(k=k, tau=tau, max_subspaces=max_subspaces))
+    assert len(fit.coords) == len(fit)
+    for sid, sub, block in zip(fit.ids, fit.subspaces, fit.coords):
+        members = X[fit.assignment == sid]
+        assert block.shape == (members.shape[0], sub.rank)
+        assert np.allclose(block, project(members, sub.basis, sub.mean), rtol=0.0, atol=1e-12)

@@ -113,12 +113,36 @@ class TestAdapt:
         )
         assert first.report.accuracy == second.report.accuracy
 
+    def test_fit_cache_tells_data_apart(self):
+        """Two pairs under the same default names each score as if uncached."""
+        cfg = AdaptationConfig(k=2, tau_s=0.3, tau_t=0.3)
+        cache: dict = {}
+        for seed in (0, 5):
+            src, tgt, _ = planted_benchmark(seed=seed)
+            cached = adapt(src, tgt, cfg, fit_cache=cache)
+            fresh = adapt(src, tgt, cfg)
+            assert cached.report.accuracy == fresh.report.accuracy
+            assert np.array_equal(
+                cached.prediction.predictions, fresh.prediction.predictions
+            )
+
+    def test_fit_cache_honours_max_subspaces(self):
+        src, tgt, _ = planted_benchmark(seed=0)
+        cache: dict = {}
+        wide = adapt(src, tgt, AdaptationConfig(k=2, max_subspaces=16), fit_cache=cache)
+        assert wide.report.num_src_subspaces == 2
+        capped = adapt(src, tgt, AdaptationConfig(k=2, max_subspaces=1), fit_cache=cache)
+        assert capped.report.num_src_subspaces == 1
+        assert capped.report.num_tgt_subspaces == 1
+
     def test_report_to_dict(self):
         src, tgt, _ = planted_benchmark(seed=0)
         report = adapt(src, tgt, AdaptationConfig(k=2)).report
         payload = report.to_dict()
         assert payload["domain_pair"] == ["source", "target"]
-        assert payload["config"]["k"] == 2
+        assert payload["config"] == {
+            "k": 2, "tau_s": 0.3, "tau_t": 0.3, "method": "proposed", "max_subspaces": 16,
+        }
         assert payload["accuracy"] == report.accuracy
         assert payload["stages"][-1] == "classify"
 
