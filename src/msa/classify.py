@@ -13,14 +13,9 @@ from .subspace import FeatureMatrix
 
 @dataclass(frozen=True, eq=False)
 class PredictionResult:
-    """Predicted labels for the test samples, with accuracy when known.
-
-    ``accuracy`` is the fraction of exact matches in [0, 1], or None when the
-    test data carried no ground-truth labels.
-    """
+    """Predicted labels for the test samples, read-only."""
 
     predictions: np.ndarray
-    accuracy: float | None = None
 
     def __post_init__(self):
         predictions = np.array(self.predictions, dtype=np.int64)
@@ -35,8 +30,8 @@ def nn_classify(train: FeatureMatrix, test: FeatureMatrix) -> PredictionResult:
 
     Args:
         train: labelled training features.
-        test: test features in the same dimension; labels, if present, are
-            used only to fill in the result's accuracy.
+        test: test features in the same dimension; their labels are not
+            used (score them with :func:`evaluate_accuracy`).
 
     Returns:
         PredictionResult over the test samples.
@@ -52,11 +47,7 @@ def nn_classify(train: FeatureMatrix, test: FeatureMatrix) -> PredictionResult:
         )
     sq = cdist(test.data, train.data, "sqeuclidean")
     nearest = sq.argmin(axis=1)
-    predictions = train.labels[nearest]
-    accuracy = None
-    if test.labels is not None:
-        accuracy = float(np.mean(predictions == test.labels))
-    return PredictionResult(predictions=predictions, accuracy=accuracy)
+    return PredictionResult(predictions=train.labels[nearest])
 
 
 def evaluate_accuracy(predictions, truth) -> float:

@@ -43,7 +43,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-subspaces", type=int, default=16, help="cap on subspaces per domain"
     )
     p_adapt.add_argument(
-        "--zscore", action="store_true", help="z-score each domain per dimension"
+        "--zscore", choices=("on", "off"), default="off",
+        help="per-domain z-scoring (default: off)",
     )
     p_adapt.add_argument("--out", help="write report and predictions as JSON")
 
@@ -91,7 +92,7 @@ def _cmd_adapt(args) -> int:
     )
     target_labels = io.load_labels(args.tgt_labels) if args.tgt_labels else None
     target = FeatureMatrix(io.load_features(args.tgt), target_labels)
-    if args.zscore:
+    if args.zscore == "on":
         source = FeatureMatrix(pipeline.zscore(source.data), source.labels)
         target = FeatureMatrix(pipeline.zscore(target.data), target.labels)
     config = pipeline.AdaptationConfig(

@@ -7,13 +7,13 @@ The metric used here is the symmetric directional distance
 which for equal ranks reduces to the chordal distance sqrt(sum_i sin^2 theta_i)
 over the principal angles theta_i, and for unequal ranks adds one unit per
 missing direction.  It is symmetric, invariant under rotation of either basis
-within its span, and bounded by sqrt(max(r1, r2)).
+within its span, and bounded by sqrt(max(r1, r2)).  ``distance_matrix``
+scores every source subspace against every target subspace.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,42 +51,7 @@ def directional_distance(a: Subspace, b: Subspace) -> float:
     return math.sqrt(radicand)
 
 
-@dataclass(frozen=True, eq=False)
-class DistanceMatrix:
-    """Pairwise subspace distances with the subspace ids they refer to.
-
-    Args:
-        values: (m_s, m_t) array, values[i, j] between row i and column j.
-        row_ids: ids of the row subspaces, in row order.
-        col_ids: ids of the column subspaces, in column order.
-    """
-
-    values: np.ndarray
-    row_ids: tuple[int, ...]
-    col_ids: tuple[int, ...]
-
-    def __post_init__(self):
-        values = np.array(self.values, dtype=np.float64, order="C")
-        if values.ndim != 2:
-            raise DimensionMismatchError(
-                f"distance matrix must be 2-d, got shape {values.shape}"
-            )
-        row_ids = tuple(int(i) for i in self.row_ids)
-        col_ids = tuple(int(j) for j in self.col_ids)
-        if values.shape != (len(row_ids), len(col_ids)):
-            raise DimensionMismatchError(
-                f"shape {values.shape} does not match "
-                f"{len(row_ids)} row ids and {len(col_ids)} column ids"
-            )
-        if not np.isfinite(values).all():
-            raise DegenerateDataError("distance matrix holds non-finite values")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "row_ids", row_ids)
-        object.__setattr__(self, "col_ids", col_ids)
-
-
-def distance_matrix(source, target) -> DistanceMatrix:
+def distance_matrix(source, target) -> np.ndarray:
     """All pairwise distances between two collections of subspaces.
 
     Args:
@@ -94,10 +59,12 @@ def distance_matrix(source, target) -> DistanceMatrix:
         target: SubspaceCollection providing the columns.
 
     Returns:
-        DistanceMatrix with the collections' subspace ids.
+        Read-only (m_s, m_t) array; entry [i, j] is the distance between
+        source subspace i + 1 and target subspace j + 1.
     """
     values = np.empty((len(source.subspaces), len(target.subspaces)))
     for i, s in enumerate(source.subspaces):
         for j, t in enumerate(target.subspaces):
             values[i, j] = directional_distance(s, t)
-    return DistanceMatrix(values=values, row_ids=source.ids, col_ids=target.ids)
+    values.setflags(write=False)
+    return values

@@ -1,11 +1,17 @@
-"""Greedy pairing of source subspaces with target subspaces by distance."""
+"""Greedy pairing of source subspaces with target subspaces by distance.
+
+``greedy_match`` takes the (m_s, m_t) array of ``grassmann.distance_matrix``
+and numbers each subspace by its position + 1, the ids of
+``SubspaceCollection``.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .exceptions import DegenerateDataError
-from .grassmann import DistanceMatrix
 
 
 @dataclass(frozen=True)
@@ -20,62 +26,50 @@ class Matching:
     pairs: tuple[tuple[int, int, float], ...]
     policy: str
 
-    def target_for(self, source_id: int) -> int:
-        for sid, tid, _ in self.pairs:
-            if sid == source_id:
-                return tid
-        raise KeyError(f"no pair for source subspace {source_id}")
 
-
-def greedy_match(distances: DistanceMatrix) -> Matching:
+def greedy_match(distances: np.ndarray) -> Matching:
     """Match every source subspace to a target subspace, nearest first.
 
     Repeatedly takes the globally smallest entry among still-unmatched rows
     and columns, breaking ties by lowest source id, then lowest target id.
     When sources outnumber targets, each leftover source is matched to its
-    individually nearest target, reusing targets already taken.  When targets
-    outnumber sources, the leftovers stay unmatched.
+    individually nearest target (the lowest id among equals), reusing
+    targets already taken.  When targets outnumber sources, the leftovers
+    stay unmatched.
 
     Args:
-        distances: DistanceMatrix between the two collections.
+        distances: (m_s, m_t) array; entry [i, j] is the distance between
+            source subspace i + 1 and target subspace j + 1.
 
     Returns:
         Matching with one pair per source subspace.
     """
-    values = distances.values
+    values = np.asarray(distances, dtype=np.float64)
     if values.size == 0:
         raise DegenerateDataError("cannot match against an empty distance matrix")
+    m_s, m_t = values.shape
 
-    entries = sorted(
-        (float(values[i, j]), rid, cid)
-        for i, rid in enumerate(distances.row_ids)
-        for j, cid in enumerate(distances.col_ids)
-    )
-    matched: dict[int, tuple[int, float]] = {}
-    taken_cols: set[int] = set()
-    for dist, rid, cid in entries:
-        if rid in matched or cid in taken_cols:
-            continue
-        matched[rid] = (cid, dist)
-        taken_cols.add(cid)
+    target_of: dict[int, int] = {}
+    taken: set[int] = set()
+    # A stable sort of the row-major entries orders equal distances by row,
+    # then by column.
+    for flat in np.argsort(values, axis=None, kind="stable"):
+        i, j = divmod(int(flat), m_t)
+        if i not in target_of and j not in taken:
+            target_of[i] = j
+            taken.add(j)
+    for i in range(m_s):
+        if i not in target_of:
+            target_of[i] = int(np.argmin(values[i]))
 
-    row_index = {rid: i for i, rid in enumerate(distances.row_ids)}
-    leftovers = [rid for rid in distances.row_ids if rid not in matched]
-    for rid in leftovers:
-        i = row_index[rid]
-        best = min(
-            (float(values[i, j]), cid) for j, cid in enumerate(distances.col_ids)
-        )
-        matched[rid] = (best[1], best[0])
-
-    if len(distances.row_ids) == len(distances.col_ids):
+    if m_s == m_t:
         policy = "one_to_one"
-    elif len(distances.row_ids) > len(distances.col_ids):
+    elif m_s > m_t:
         policy = "surplus_sources_reuse_nearest_target"
     else:
         policy = "surplus_targets_unmatched"
 
     pairs = tuple(
-        (rid, matched[rid][0], matched[rid][1]) for rid in sorted(matched)
+        (i + 1, target_of[i] + 1, float(values[i, target_of[i]])) for i in range(m_s)
     )
     return Matching(pairs=pairs, policy=policy)

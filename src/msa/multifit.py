@@ -22,6 +22,20 @@ from .subspace import (
 )
 
 
+def _check_fit_settings(k, max_subspaces, **taus) -> None:
+    """Raise ConfigError unless the decomposition settings are in range.
+
+    k and max_subspaces must be integers >= 1 (a bool is not one), and each
+    keyword tau, named as in the caller's config, must lie in (0, 1].
+    """
+    for name, value in (("k", k), ("max_subspaces", max_subspaces)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+            raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+    for name, tau in taus.items():
+        if not 0.0 < tau <= 1.0:
+            raise ConfigError(f"{name} must lie in (0, 1], got {tau!r}")
+
+
 @dataclass(frozen=True)
 class FitConfig:
     """Settings for :func:`fit_multi`.
@@ -39,14 +53,7 @@ class FitConfig:
     max_subspaces: int = 16
 
     def __post_init__(self):
-        if not isinstance(self.k, (int, np.integer)) or self.k < 1:
-            raise ConfigError(f"k must be a positive integer, got {self.k!r}")
-        if not 0.0 < self.tau <= 1.0:
-            raise ConfigError(f"tau must lie in (0, 1], got {self.tau!r}")
-        if self.max_subspaces < 1:
-            raise ConfigError(
-                f"max_subspaces must be >= 1, got {self.max_subspaces!r}"
-            )
+        _check_fit_settings(self.k, self.max_subspaces, tau=self.tau)
 
 
 @dataclass(frozen=True, eq=False)

@@ -25,7 +25,7 @@ from .classify import PredictionResult, evaluate_accuracy, nn_classify
 from .exceptions import ConfigError, DataFileError, MSAError
 from .grassmann import distance_matrix
 from .matching import greedy_match
-from .multifit import FitConfig, fit_multi
+from .multifit import FitConfig, _check_fit_settings, fit_multi
 from .subspace import FeatureMatrix
 
 METHODS = ("proposed", "na", "sa")
@@ -55,19 +55,11 @@ class AdaptationConfig:
     max_subspaces: int = 16
 
     def __post_init__(self):
-        if not isinstance(self.k, (int, np.integer)) or self.k < 1:
-            raise ConfigError(f"k must be a positive integer, got {self.k!r}")
-        for name, tau in (("tau_s", self.tau_s), ("tau_t", self.tau_t)):
-            if not 0.0 < tau <= 1.0:
-                raise ConfigError(f"{name} must lie in (0, 1], got {tau!r}")
+        _check_fit_settings(self.k, self.max_subspaces, tau_s=self.tau_s, tau_t=self.tau_t)
         object.__setattr__(self, "method", str(self.method).lower())
         if self.method not in METHODS:
             raise ConfigError(
                 f"method must be one of {METHODS}, got {self.method!r}"
-            )
-        if self.max_subspaces < 1:
-            raise ConfigError(
-                f"max_subspaces must be >= 1, got {self.max_subspaces!r}"
             )
 
 

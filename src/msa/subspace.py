@@ -2,8 +2,9 @@
 
 Samples are row vectors throughout: a dataset is an (N, d) array and a basis
 is a (d, r) matrix with orthonormal columns.  Every subspace carries the mean
-of the samples it was fitted on, so that projection and reconstruction are
-always computed on centred data.
+of the samples it was fitted on, so that projection (``Subspace.project``)
+and reconstruction (``reconstruction_errors``) are always computed on
+centred data.
 """
 
 from __future__ import annotations
@@ -76,8 +77,9 @@ class Subspace:
     """An r-dimensional linear subspace of R^d with its centring offset.
 
     Args:
-        basis: (d, r) matrix with orthonormal columns, 1 <= r <= d.
-        mean: length-d centring offset (the mean of the fitted samples).
+        basis: finite (d, r) matrix with orthonormal columns, 1 <= r <= d.
+        mean: finite length-d centring offset (the mean of the fitted
+            samples).
     """
 
     basis: np.ndarray
@@ -97,6 +99,8 @@ class Subspace:
             raise DimensionMismatchError(
                 f"mean must have length {d}, got shape {mean.shape}"
             )
+        if not (np.isfinite(basis).all() and np.isfinite(mean).all()):
+            raise DegenerateDataError("basis or mean contains non-finite entries")
         gram = basis.T @ basis
         if np.linalg.norm(gram - np.eye(r)) > ORTHONORMAL_TOL:
             raise DegenerateDataError("basis columns are not orthonormal")
@@ -112,17 +116,38 @@ class Subspace:
         return self.basis.shape[1]
 
     def project(self, samples) -> np.ndarray:
-        """Coordinates of ``samples`` in this subspace's frame."""
-        return project(samples, self.basis, self.mean)
+        """Coordinates (x - mean)^T B of each sample in this subspace's frame.
+
+        Args:
+            samples: FeatureMatrix or (N, d) array.
+
+        Returns:
+            (N, r) array.
+        """
+        return _centred(samples, self) @ self.basis
 
 
 def _sample_array(data) -> np.ndarray:
+    """The (N, d) float array behind a FeatureMatrix or an array-like."""
     if isinstance(data, FeatureMatrix):
         return data.data
     arr = np.asarray(data, dtype=np.float64)
     if arr.ndim != 2:
         raise DimensionMismatchError(f"expected an (N, d) array, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise DegenerateDataError("samples contain non-finite entries")
     return arr
+
+
+def _centred(data, subspace: Subspace) -> np.ndarray:
+    """Samples minus the subspace mean, after checking their dimension."""
+    X = _sample_array(data)
+    if X.shape[1] != subspace.ambient_dim:
+        raise DimensionMismatchError(
+            f"samples have dimension {X.shape[1]}, "
+            f"subspace lives in dimension {subspace.ambient_dim}"
+        )
+    return X - subspace.mean
 
 
 def fit_pca(data, k: int) -> Subspace:
@@ -189,68 +214,12 @@ def reconstruction_errors(data, subspace: Subspace) -> np.ndarray:
     Returns:
         Length-N array of errors.
     """
-    X = _sample_array(data)
-    if X.shape[1] != subspace.ambient_dim:
-        raise DimensionMismatchError(
-            f"samples have dimension {X.shape[1]}, "
-            f"subspace lives in dimension {subspace.ambient_dim}"
-        )
-    centred = X - subspace.mean
+    centred = _centred(data, subspace)
     coords = centred @ subspace.basis
     residual = centred - coords @ subspace.basis.T
     num = np.einsum("ij,ij->i", residual, residual)
     den = np.einsum("ij,ij->i", centred, centred)
-    errors = np.zeros(X.shape[0])
+    errors = np.zeros(centred.shape[0])
     mask = den > 0.0
     errors[mask] = num[mask] / den[mask]
     return np.clip(errors, 0.0, 1.0)
-
-
-def reconstruction_error(sample, subspace: Subspace) -> float:
-    """Relative squared reconstruction error of a single length-d sample."""
-    x = np.asarray(sample, dtype=np.float64)
-    if x.ndim != 1:
-        raise DimensionMismatchError(f"sample must be a vector, got shape {x.shape}")
-    return float(reconstruction_errors(x[np.newaxis, :], subspace)[0])
-
-
-def project(samples, basis, mean=None) -> np.ndarray:
-    """Coordinates of samples in a subspace frame: basis^T (x - mean).
-
-    Args:
-        samples: length-d vector or (N, d) array.
-        basis: (d, r) matrix whose columns span the frame.
-        mean: optional length-d centring offset (defaults to zero).
-
-    Returns:
-        Length-r vector for a single sample, (N, r) array otherwise.
-    """
-    B = np.asarray(basis, dtype=np.float64)
-    if B.ndim != 2:
-        raise DimensionMismatchError(f"basis must be 2-d, got shape {B.shape}")
-    X = np.asarray(samples, dtype=np.float64)
-    single = X.ndim == 1
-    if single:
-        X = X[np.newaxis, :]
-    if X.ndim != 2 or X.shape[1] != B.shape[0]:
-        raise DimensionMismatchError(
-            f"samples of shape {np.asarray(samples).shape} do not match "
-            f"basis of shape {B.shape}"
-        )
-    if mean is not None:
-        offset = np.asarray(mean, dtype=np.float64)
-        if offset.shape != (B.shape[0],):
-            raise DimensionMismatchError(
-                f"mean must have length {B.shape[0]}, got shape {offset.shape}"
-            )
-        X = X - offset
-    coords = X @ B
-    return coords[0] if single else coords
-
-
-def total_reconstruction_error(data, subspace: Subspace) -> float:
-    """Sum of unnormalised squared residuals ||x - B B^T x||^2 over samples."""
-    X = _sample_array(data)
-    centred = X - subspace.mean
-    residual = centred - (centred @ subspace.basis) @ subspace.basis.T
-    return float(np.sum(residual * residual))

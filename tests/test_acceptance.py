@@ -21,16 +21,10 @@ from msa.grassmann import directional_distance
 from msa.io import discover_domains
 from msa.multifit import FitConfig, fit_multi
 from msa.pipeline import AdaptationConfig, adapt, run_benchmark
-from msa.subspace import (
-    FeatureMatrix,
-    Subspace,
-    fit_pca,
-    reconstruction_errors,
-    total_reconstruction_error,
-)
+from msa.subspace import FeatureMatrix, Subspace, fit_pca, reconstruction_errors
 from msa.synthetic import planted_benchmark
 
-from conftest import random_orthonormal
+from conftest import random_orthonormal, total_reconstruction_error
 
 DATA_DIR = Path(os.environ.get("MSA_DATA_DIR", "data"))
 

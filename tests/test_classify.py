@@ -50,17 +50,13 @@ class TestNnClassify:
         b = nn_classify(FeatureMatrix(train * 10.0, labels), FeatureMatrix(test * 10.0))
         assert np.array_equal(a.predictions, b.predictions)
 
-    def test_accuracy_fraction_when_labels_present(self):
+    def test_test_labels_do_not_change_predictions(self):
         train = FeatureMatrix(np.array([[0.0], [10.0]]), [0, 1])
-        test = FeatureMatrix(np.array([[1.0], [2.0], [9.0], [8.0]]), [0, 1, 1, 1])
-        result = nn_classify(train, test)
-        assert np.array_equal(result.predictions, [0, 0, 1, 1])
-        assert result.accuracy == pytest.approx(0.75)
-
-    def test_accuracy_none_without_labels(self, rng):
-        train = FeatureMatrix(rng.normal(size=(5, 2)), [0, 1, 0, 1, 0])
-        result = nn_classify(train, FeatureMatrix(rng.normal(size=(3, 2))))
-        assert result.accuracy is None
+        rows = np.array([[1.0], [2.0], [9.0], [8.0]])
+        labelled = nn_classify(train, FeatureMatrix(rows, [0, 1, 1, 1]))
+        unlabelled = nn_classify(train, FeatureMatrix(rows))
+        assert np.array_equal(labelled.predictions, [0, 0, 1, 1])
+        assert np.array_equal(unlabelled.predictions, labelled.predictions)
 
     def test_unlabeled_train_rejected(self, rng):
         with pytest.raises(ConfigError):

@@ -96,7 +96,10 @@ class TestAdaptCommand:
         assert "stage 'fit_source'" in capsys.readouterr().err
 
     def test_zscore_flag_runs(self, pair_files, capsys):
-        assert main(_adapt_argv(pair_files, "--zscore")) == 0
+        assert main(_adapt_argv(pair_files, "--zscore", "on")) == 0
+        assert main(_adapt_argv(pair_files, "--zscore", "off")) == 0
+        with pytest.raises(SystemExit):
+            main(_adapt_argv(pair_files, "--zscore"))
 
 
 class TestBenchmarkCommand:
@@ -157,9 +160,16 @@ class TestBenchmarkCommand:
 
     def test_bad_grid_entry_exits_3(self, dataset_dir, tmp_path, capsys):
         bad = tmp_path / "grid.json"
-        bad.write_text(json.dumps([{"k": 2, "bogus": 1}]))
         argv = [
             "benchmark", "--dir", str(dataset_dir), "--features", "plane",
             "--grid", str(bad),
         ]
-        assert main(argv) == 3
+        # An unknown key, and a fractional cap that would silently lift the
+        # subspace limit.
+        for entry, named in (
+            ({"k": 2, "bogus": 1}, "bogus"),
+            ({"k": 2, "tau_s": 0.2, "tau_t": 0.2, "max_subspaces": 2.5}, "max_subspaces"),
+        ):
+            bad.write_text(json.dumps([entry]))
+            assert main(argv) == 3
+            assert named in capsys.readouterr().err

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.linalg import subspace_angles
 
-from msa.exceptions import DegenerateDataError, DimensionMismatchError
-from msa.grassmann import DistanceMatrix, directional_distance, distance_matrix
+from msa.exceptions import DimensionMismatchError
+from msa.grassmann import directional_distance, distance_matrix
 from msa.multifit import FitConfig, fit_multi
 from msa.subspace import Subspace
 
@@ -103,23 +103,21 @@ class TestDistanceMatrix:
         fs = fit_multi(Xs, FitConfig(k=2, tau=0.5))
         ft = fit_multi(Xt, FitConfig(k=2, tau=0.6))
         dm = distance_matrix(fs, ft)
-        assert dm.values.shape == (len(fs), len(ft))
-        assert dm.row_ids == fs.ids
-        assert dm.col_ids == ft.ids
-        for i, sid in enumerate(dm.row_ids):
-            for j, tid in enumerate(dm.col_ids):
+        assert dm.shape == (len(fs), len(ft))
+        for sid in fs.ids:
+            for tid in ft.ids:
                 expected = directional_distance(fs.subspace(sid), ft.subspace(tid))
-                assert dm.values[i, j] == pytest.approx(expected, abs=1e-12)
+                assert dm[sid - 1, tid - 1] == pytest.approx(expected, abs=1e-12)
 
     def test_values_read_only(self, rng):
         X = rng.normal(size=(30, 4))
         fit = fit_multi(X, FitConfig(k=2, tau=1.0))
         dm = distance_matrix(fit, fit)
         with pytest.raises(ValueError):
-            dm.values[0, 0] = 5.0
+            dm[0, 0] = 5.0
 
-    def test_shape_validation(self):
+    def test_shape_validation(self, rng):
+        fs = fit_multi(rng.normal(size=(30, 4)), FitConfig(k=2, tau=1.0))
+        ft = fit_multi(rng.normal(size=(30, 5)), FitConfig(k=2, tau=1.0))
         with pytest.raises(DimensionMismatchError):
-            DistanceMatrix(np.zeros((2, 2)), row_ids=(1,), col_ids=(1, 2))
-        with pytest.raises(DegenerateDataError):
-            DistanceMatrix(np.array([[np.nan]]), row_ids=(1,), col_ids=(1,))
+            distance_matrix(fs, ft)

@@ -2,67 +2,54 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from msa.exceptions import DegenerateDataError
-from msa.grassmann import DistanceMatrix
 from msa.matching import Matching, greedy_match
-
-
-def _dm(values, row_ids=None, col_ids=None):
-    values = np.asarray(values, dtype=np.float64)
-    m, n = values.shape
-    return DistanceMatrix(
-        values=values,
-        row_ids=row_ids or tuple(range(1, m + 1)),
-        col_ids=col_ids or tuple(range(1, n + 1)),
-    )
 
 
 class TestGreedyMatch:
     def test_hand_traced_square(self):
         """Smallest entry first: (1,1) at 0.1 blocks row 2 from col 1."""
-        m = greedy_match(_dm([[0.1, 0.2], [0.11, 5.0]]))
+        m = greedy_match([[0.1, 0.2], [0.11, 5.0]])
         assert m.pairs == ((1, 1, 0.1), (2, 2, 5.0))
         assert m.policy == "one_to_one"
 
     def test_diagonal_preferred(self):
-        m = greedy_match(_dm([[0.0, 1.0], [1.0, 0.0]]))
+        m = greedy_match([[0.0, 1.0], [1.0, 0.0]])
         assert m.pairs == ((1, 1, 0.0), (2, 2, 0.0))
 
     def test_tie_breaks_by_lowest_ids(self):
         # all entries equal: (1,1) first, then (2,2)
-        m = greedy_match(_dm([[0.5, 0.5], [0.5, 0.5]]))
+        m = greedy_match([[0.5, 0.5], [0.5, 0.5]])
         assert m.pairs == ((1, 1, 0.5), (2, 2, 0.5))
 
     def test_surplus_sources_reuse_nearest_target(self):
         values = [[0.1], [0.2], [0.3]]
-        m = greedy_match(_dm(values))
+        m = greedy_match(values)
         assert m.policy == "surplus_sources_reuse_nearest_target"
         assert m.pairs == ((1, 1, 0.1), (2, 1, 0.2), (3, 1, 0.3))
 
     def test_surplus_source_picks_its_own_nearest(self):
         values = [[0.1, 0.9], [0.2, 0.8], [0.7, 0.25]]
-        m = greedy_match(_dm(values))
+        m = greedy_match(values)
         # injective phase: (1,1) then (3,2); source 2 reuses its nearest, col 1
         assert m.pairs == ((1, 1, 0.1), (2, 1, 0.2), (3, 2, 0.25))
 
     def test_surplus_targets_left_unmatched(self):
         values = [[0.3, 0.1, 0.6]]
-        m = greedy_match(_dm(values))
+        m = greedy_match(values)
         assert m.policy == "surplus_targets_unmatched"
         assert m.pairs == ((1, 2, 0.1),)
-
-    def test_respects_actual_ids(self):
-        m = greedy_match(_dm([[0.9, 0.1]], row_ids=(4,), col_ids=(7, 9)))
-        assert m.pairs == ((4, 9, 0.1),)
-        assert m.target_for(4) == 9
 
     def test_every_source_matched_exactly_once(self, rng):
         for _ in range(30):
             ms = int(rng.integers(1, 7))
             mt = int(rng.integers(1, 7))
             values = rng.uniform(size=(ms, mt))
-            m = greedy_match(_dm(values))
+            m = greedy_match(values)
             sources = [p[0] for p in m.pairs]
             assert sorted(sources) == list(range(1, ms + 1))
             targets = [p[1] for p in m.pairs]
@@ -71,30 +58,22 @@ class TestGreedyMatch:
 
     def test_pair_distances_match_matrix(self, rng):
         values = rng.uniform(size=(4, 5))
-        m = greedy_match(_dm(values))
+        m = greedy_match(values)
         for sid, tid, dist in m.pairs:
             assert dist == values[sid - 1, tid - 1]
 
     def test_relabeling_consistency(self, rng):
         """Permuting rows permutes the matching accordingly."""
         values = rng.uniform(size=(4, 4))
-        base = {p[0]: p[1] for p in greedy_match(_dm(values)).pairs}
+        base = {p[0]: p[1] for p in greedy_match(values).pairs}
         perm = rng.permutation(4)
-        permuted = greedy_match(
-            _dm(values[perm], row_ids=tuple(int(p) + 1 for p in perm))
-        )
-        assert {p[0]: p[1] for p in permuted.pairs} == base
+        permuted = greedy_match(values[perm])
+        # row r of the permuted matrix is source perm[r] + 1 of the original
+        assert {int(perm[sid - 1]) + 1: tid for sid, tid, _ in permuted.pairs} == base
 
     def test_empty_rejected(self):
         with pytest.raises(DegenerateDataError):
-            greedy_match(
-                DistanceMatrix(np.zeros((0, 0)), row_ids=(), col_ids=())
-            )
-
-    def test_target_for_missing_source(self):
-        m = greedy_match(_dm([[0.1]]))
-        with pytest.raises(KeyError):
-            m.target_for(99)
+            greedy_match(np.zeros((0, 0)))
 
 
 class TestMatching:
@@ -103,3 +82,49 @@ class TestMatching:
         assert m.pairs == ((1, 1, 0.5),)
         with pytest.raises(AttributeError):
             m.policy = "other"
+
+
+# A few repeated levels among the distances make ties common.
+_distances = arrays(
+    np.float64,
+    array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6),
+    elements=st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 3.0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=_distances)
+def test_greedy_match_properties(values):
+    m_s, m_t = values.shape
+    m = greedy_match(values)
+
+    assert [sid for sid, _, _ in m.pairs] == list(range(1, m_s + 1))
+    assert all(1 <= tid <= m_t for _, tid, _ in m.pairs)
+    assert all(dist == values[sid - 1, tid - 1] for sid, tid, dist in m.pairs)
+    targets = [tid for _, tid, _ in m.pairs]
+    if m_s <= m_t:
+        assert len(set(targets)) == m_s
+    else:
+        assert set(targets) == set(range(1, m_t + 1))
+
+    entries = sorted((values[i, j], i, j) for i in range(m_s) for j in range(m_t))
+    _, i0, j0 = entries[0]
+    assert m.pairs[i0][1] == j0 + 1
+
+    expected_policy = (
+        "one_to_one" if m_s == m_t
+        else "surplus_sources_reuse_nearest_target" if m_s > m_t
+        else "surplus_targets_unmatched"
+    )
+    assert m.policy == expected_policy
+
+    # The sources left over once the smallest-first pass has used every
+    # target each take the nearest target of their own row, lowest id first.
+    rows, cols = set(), set()
+    for _, i, j in entries:
+        if i not in rows and j not in cols:
+            rows.add(i)
+            cols.add(j)
+    for i in set(range(m_s)) - rows:
+        nearest = min(range(m_t), key=lambda j: (values[i, j], j))
+        assert m.pairs[i][1:] == (nearest + 1, values[i].min())

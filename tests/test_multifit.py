@@ -8,7 +8,7 @@ from scipy.linalg import subspace_angles
 
 from msa.exceptions import ConfigError, DegenerateDataError, DimensionMismatchError
 from msa.multifit import FitConfig, SubspaceCollection, fit_multi
-from msa.subspace import FeatureMatrix, Subspace, fit_pca, project, reconstruction_errors
+from msa.subspace import FeatureMatrix, Subspace, fit_pca, reconstruction_errors
 from msa.synthetic import planted_benchmark
 
 from conftest import random_orthonormal
@@ -28,6 +28,11 @@ class TestFitConfig:
             FitConfig(k=2, tau=1.5)
         with pytest.raises(ConfigError):
             FitConfig(k=2, tau=0.5, max_subspaces=0)
+        # A fractional cap never equals a subspace count, so it would
+        # silently lift the cap; a bool is not a count either.
+        for k, max_subspaces in ((2, 2.5), (2, True), (True, 16), (2.0, 16)):
+            with pytest.raises(ConfigError, match="must be a positive integer"):
+                FitConfig(k=k, tau=0.2, max_subspaces=max_subspaces)
 
     def test_tau_one_allowed(self):
         FitConfig(k=2, tau=1.0)
@@ -170,6 +175,11 @@ class TestFitMulti:
     def test_degenerate_pool_rejected(self):
         with pytest.raises(DegenerateDataError):
             fit_multi(np.ones((5, 3)), FitConfig(k=1, tau=0.5))
+        # Non-finite samples fail as a package error, not inside the SVD.
+        X = np.arange(15.0).reshape(5, 3) ** 2
+        X[1, 2] = np.nan
+        with pytest.raises(DegenerateDataError):
+            fit_multi(X, FitConfig(k=1, tau=0.5))
 
 
 @settings(max_examples=60, deadline=None)
@@ -191,4 +201,4 @@ def test_coords_are_projections_of_assigned_samples(seed, n, d, k_frac, tau, max
     for sid, sub, block in zip(fit.ids, fit.subspaces, fit.coords):
         members = X[fit.assignment == sid]
         assert block.shape == (members.shape[0], sub.rank)
-        assert np.allclose(block, project(members, sub.basis, sub.mean), rtol=0.0, atol=1e-12)
+        assert np.allclose(block, (members - sub.mean) @ sub.basis, rtol=0.0, atol=1e-12)

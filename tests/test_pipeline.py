@@ -29,11 +29,14 @@ class TestAdaptationConfig:
     def test_bad_k(self):
         with pytest.raises(ConfigError):
             AdaptationConfig(k=0)
+        for k, max_subspaces in ((True, 16), (2, 2.5), (2, 0)):
+            with pytest.raises(ConfigError, match="must be a positive integer"):
+                AdaptationConfig(k=k, max_subspaces=max_subspaces)
 
     def test_bad_tau(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="tau_s"):
             AdaptationConfig(k=2, tau_s=0.0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="tau_t"):
             AdaptationConfig(k=2, tau_t=1.2)
 
 

@@ -4,17 +4,9 @@ import numpy as np
 import pytest
 
 from msa.exceptions import ConfigError, DegenerateDataError, DimensionMismatchError
-from msa.subspace import (
-    FeatureMatrix,
-    Subspace,
-    fit_pca,
-    project,
-    reconstruction_error,
-    reconstruction_errors,
-    total_reconstruction_error,
-)
+from msa.subspace import FeatureMatrix, Subspace, fit_pca, reconstruction_errors
 
-from conftest import random_orthonormal
+from conftest import random_orthonormal, total_reconstruction_error
 
 
 class TestFeatureMatrix:
@@ -65,6 +57,14 @@ class TestSubspace:
         sub = Subspace(basis, np.zeros(6))
         assert sub.ambient_dim == 6
         assert sub.rank == 2
+
+    def test_rejects_non_finite(self):
+        # NaN fails every comparison, so the orthonormality check alone
+        # would let an all-NaN basis through.
+        with pytest.raises(DegenerateDataError):
+            Subspace(np.full((3, 2), np.nan), np.zeros(3))
+        with pytest.raises(DegenerateDataError):
+            Subspace(np.eye(3)[:, :2], np.array([0.0, np.inf, 0.0]))
 
 
 class TestFitPca:
@@ -125,6 +125,13 @@ class TestFitPca:
         with pytest.raises(DegenerateDataError):
             fit_pca(np.ones((5, 3)), 1)
 
+    def test_non_finite_rejected(self, rng):
+        for bad in (np.nan, np.inf):
+            X = rng.normal(size=(6, 3))
+            X[2, 1] = bad
+            with pytest.raises(DegenerateDataError):
+                fit_pca(X, 2)
+
     def test_accepts_feature_matrix(self, rng):
         X = rng.normal(size=(10, 3))
         a = fit_pca(FeatureMatrix(X), 2)
@@ -152,21 +159,21 @@ class TestReconstructionError:
         basis = random_orthonormal(rng, 5, 2)
         sub = Subspace(basis, np.zeros(5))
         x = basis @ np.array([2.0, -1.0])
-        assert reconstruction_error(x, sub) < 1e-15
+        assert reconstruction_errors(x[np.newaxis], sub)[0] < 1e-15
 
     def test_orthogonal_is_one(self):
         sub = Subspace(np.eye(3)[:, :1], np.zeros(3))
-        assert reconstruction_error(np.array([0.0, 2.0, 0.0]), sub) == pytest.approx(1.0)
+        assert reconstruction_errors([[0.0, 2.0, 0.0]], sub)[0] == pytest.approx(1.0)
 
     def test_half_energy(self):
         # x = (1, 1) against span{e1}: residual (0, 1), ratio 1/2
         sub = Subspace(np.eye(2)[:, :1], np.zeros(2))
-        assert reconstruction_error(np.array([1.0, 1.0]), sub) == pytest.approx(0.5)
+        assert reconstruction_errors([[1.0, 1.0]], sub)[0] == pytest.approx(0.5)
 
     def test_mean_shift(self):
         sub = Subspace(np.eye(2)[:, :1], np.array([3.0, 4.0]))
         # sample equal to the mean centres to zero, reports zero
-        assert reconstruction_error(np.array([3.0, 4.0]), sub) == 0.0
+        assert reconstruction_errors([[3.0, 4.0]], sub)[0] == 0.0
 
     def test_range_and_vectorized_consistency(self, rng):
         X = rng.normal(size=(30, 6))
@@ -175,7 +182,7 @@ class TestReconstructionError:
         assert errs.shape == (30,)
         assert np.all(errs >= 0.0) and np.all(errs <= 1.0)
         for i in range(30):
-            assert errs[i] == pytest.approx(reconstruction_error(X[i], sub), abs=1e-12)
+            assert errs[i] == pytest.approx(reconstruction_errors(X[i : i + 1], sub)[0], abs=1e-12)
 
     def test_full_rank_subspace_zero_error(self, rng):
         X = rng.normal(size=(20, 3))
@@ -186,25 +193,29 @@ class TestReconstructionError:
 class TestProject:
     def test_identity_basis(self):
         X = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        out = project(X, np.eye(3))
+        out = Subspace(np.eye(3), np.zeros(3)).project(X)
         assert np.array_equal(out, X)
 
     def test_mean_subtracted(self):
-        basis = np.eye(3)[:, :2]
-        out = project(np.array([4.0, 5.0, 6.0]), basis, mean=np.array([1.0, 1.0, 1.0]))
-        assert np.allclose(out, [3.0, 4.0])
+        sub = Subspace(np.eye(3)[:, :2], np.array([1.0, 1.0, 1.0]))
+        assert np.allclose(sub.project([[4.0, 5.0, 6.0]]), [[3.0, 4.0]])
 
     def test_single_sample_shape(self, rng):
-        basis = random_orthonormal(rng, 4, 2)
-        assert project(np.zeros(4), basis).shape == (2,)
-        assert project(np.zeros((3, 4)), basis).shape == (3, 2)
+        """One sample is a (1, d) row; a bare length-d vector is rejected."""
+        sub = Subspace(random_orthonormal(rng, 4, 2), np.zeros(4))
+        assert sub.project(np.zeros((1, 4))).shape == (1, 2)
+        assert sub.project(np.zeros((3, 4))).shape == (3, 2)
+        with pytest.raises(DimensionMismatchError):
+            sub.project(np.zeros(4))
 
     def test_dimension_check(self, rng):
-        basis = random_orthonormal(rng, 4, 2)
+        sub = Subspace(random_orthonormal(rng, 4, 2), np.zeros(4))
         with pytest.raises(DimensionMismatchError):
-            project(np.zeros((3, 5)), basis)
+            sub.project(np.zeros((3, 5)))
 
     def test_subspace_method_agrees(self, rng):
+        """The method is (X - mean) @ basis bit for bit, for arrays and FeatureMatrix."""
         X = rng.normal(size=(8, 5))
         sub = fit_pca(X, 2)
-        assert np.array_equal(sub.project(X), project(X, sub.basis, sub.mean))
+        assert np.array_equal(sub.project(X), (X - sub.mean) @ sub.basis)
+        assert np.array_equal(sub.project(FeatureMatrix(X)), sub.project(X))
