@@ -12,9 +12,8 @@ import argparse
 import json
 import sys
 
-from . import io, pipeline
+from . import pipeline
 from .exceptions import ConfigError, DataFileError, DegenerateDataError, DimensionMismatchError
-from .subspace import FeatureMatrix
 
 EXIT_OK = 0
 EXIT_DATA = 2
@@ -87,14 +86,9 @@ def _load_grid(path) -> list[pipeline.AdaptationConfig]:
 
 
 def _cmd_adapt(args) -> int:
-    source = FeatureMatrix(
-        io.load_features(args.src), io.load_labels(args.src_labels)
-    )
-    target_labels = io.load_labels(args.tgt_labels) if args.tgt_labels else None
-    target = FeatureMatrix(io.load_features(args.tgt), target_labels)
-    if args.zscore == "on":
-        source = FeatureMatrix(pipeline.zscore(source.data), source.labels)
-        target = FeatureMatrix(pipeline.zscore(target.data), target.labels)
+    normalize = args.zscore == "on"
+    source = pipeline.load_domain(args.src, args.src_labels, normalize)
+    target = pipeline.load_domain(args.tgt, args.tgt_labels, normalize)
     config = pipeline.AdaptationConfig(
         k=args.k, tau_s=args.tau_s, tau_t=args.tau_t,
         method=args.method, max_subspaces=args.max_subspaces,

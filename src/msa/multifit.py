@@ -25,35 +25,16 @@ from .subspace import (
 def _check_fit_settings(k, max_subspaces, **taus) -> None:
     """Raise ConfigError unless the decomposition settings are in range.
 
-    k and max_subspaces must be integers >= 1 (a bool is not one), and each
-    keyword tau, named as in the caller's config, must lie in (0, 1].
+    k and max_subspaces must be integers >= 1, and each keyword tau, named
+    as in the caller's config, must be a number in (0, 1].  A bool is
+    neither: True would otherwise run as k = 1 or as tau = 1.0.
     """
     for name, value in (("k", k), ("max_subspaces", max_subspaces)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
             raise ConfigError(f"{name} must be a positive integer, got {value!r}")
     for name, tau in taus.items():
-        if not 0.0 < tau <= 1.0:
-            raise ConfigError(f"{name} must lie in (0, 1], got {tau!r}")
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    """Settings for :func:`fit_multi`.
-
-    Args:
-        k: requested dimension of each subspace, >= 1.
-        tau: relative reconstruction-error threshold in (0, 1]; a sample with
-            error below tau counts as an inlier of the current subspace.
-            With tau = 1.0 the decomposition degenerates to a single PCA fit.
-        max_subspaces: hard cap on the number of subspaces.
-    """
-
-    k: int
-    tau: float
-    max_subspaces: int = 16
-
-    def __post_init__(self):
-        _check_fit_settings(self.k, self.max_subspaces, tau=self.tau)
+        if isinstance(tau, bool) or not 0.0 < tau <= 1.0:
+            raise ConfigError(f"{name} must be a number in (0, 1], got {tau!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,10 +96,6 @@ class SubspaceCollection:
     def ids(self) -> tuple[int, ...]:
         return tuple(range(1, len(self.subspaces) + 1))
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.subspaces[0].ambient_dim
-
     def __len__(self) -> int:
         return len(self.subspaces)
 
@@ -128,17 +105,13 @@ class SubspaceCollection:
             raise DimensionMismatchError(f"no subspace with id {sid}")
         return self.subspaces[sid - 1]
 
-    def sample_counts(self) -> dict[int, int]:
-        ids, counts = np.unique(self.assignment, return_counts=True)
-        return {int(i): int(c) for i, c in zip(ids, counts)}
-
 
 def _fittable(pool: np.ndarray) -> bool:
     """Whether a pool can support a PCA fit: >= 2 samples, not all identical."""
     return pool.shape[0] >= 2 and bool(np.any(pool != pool[0]))
 
 
-def fit_multi(data, config: FitConfig) -> SubspaceCollection:
+def fit_multi(data, k: int, tau: float, max_subspaces: int = 16) -> SubspaceCollection:
     """Decompose a dataset into a union of rank-<=k subspaces.
 
     Each round fits a rank-k PCA to the remaining pool and computes every
@@ -153,20 +126,29 @@ def fit_multi(data, config: FitConfig) -> SubspaceCollection:
     that round only) until at least k samples qualify; ``tau_escalations``
     on the result counts these relaxations.
 
+    The result depends only on the data and the three settings, so a caller
+    may reuse it for the same data object; ``adapt``'s ``fit_cache`` keys
+    fits by (data object, k, tau, max_subspaces).
+
     Args:
         data: FeatureMatrix or (N, d) array with N >= 2.
-        config: fitting settings; config.k must not exceed d.
+        k: requested dimension of each subspace, 1 <= k <= d.
+        tau: relative reconstruction-error threshold in (0, 1]; a sample with
+            error below tau counts as an inlier of the current subspace.
+            With tau = 1.0 the decomposition degenerates to a single PCA fit.
+        max_subspaces: hard cap on the number of subspaces, >= 1.
 
     Returns:
         SubspaceCollection over the input samples, with every sample's
         coordinates in the subspace it is assigned to.
     """
+    _check_fit_settings(k, max_subspaces, tau=tau)
     X = _sample_array(data)
     n, d = X.shape
     if n < 2:
         raise DegenerateDataError(f"need at least 2 samples, got {n}")
-    if config.k > d:
-        raise ConfigError(f"k = {config.k} exceeds the feature dimension {d}")
+    if k > d:
+        raise ConfigError(f"k = {k} exceeds the feature dimension {d}")
 
     remaining = np.arange(n)
     assignment = np.zeros(n, dtype=np.int64)
@@ -176,14 +158,14 @@ def fit_multi(data, config: FitConfig) -> SubspaceCollection:
     while True:
         sid = len(subspaces) + 1
         pool = X[remaining]
-        base = fit_pca(pool, min(config.k, pool.shape[0]))
+        base = fit_pca(pool, min(k, pool.shape[0]))
         errors = reconstruction_errors(pool, base)
-        outliers = errors >= config.tau
+        outliers = errors >= tau
         n_out = int(np.count_nonzero(outliers))
 
         final = (
-            sid == config.max_subspaces
-            or n_out < config.k
+            sid == max_subspaces
+            or n_out < k
             or not _fittable(pool[outliers])
         )
         if final:
@@ -191,19 +173,19 @@ def fit_multi(data, config: FitConfig) -> SubspaceCollection:
             assignment[remaining] = sid
             break
 
-        tau_eff = config.tau
+        tau_eff = tau
         inliers = ~outliers
         if not inliers.any():
             # All errors sit at or above tau; relax the threshold until the
             # round has enough inliers to refit on.
-            while int(np.count_nonzero(errors < tau_eff)) < config.k:
+            while int(np.count_nonzero(errors < tau_eff)) < k:
                 tau_eff *= 2.0
                 escalations += 1
             inliers = errors < tau_eff
 
         refit_pool = pool[inliers]
         if _fittable(refit_pool):
-            base = fit_pca(refit_pool, min(config.k, refit_pool.shape[0]))
+            base = fit_pca(refit_pool, min(k, refit_pool.shape[0]))
             errors = reconstruction_errors(pool, base)
 
         keep = errors < tau_eff

@@ -25,7 +25,7 @@ from .classify import PredictionResult, evaluate_accuracy, nn_classify
 from .exceptions import ConfigError, DataFileError, MSAError
 from .grassmann import distance_matrix
 from .matching import greedy_match
-from .multifit import FitConfig, _check_fit_settings, fit_multi
+from .multifit import _check_fit_settings, fit_multi
 from .subspace import FeatureMatrix
 
 METHODS = ("proposed", "na", "sa")
@@ -115,6 +115,32 @@ def zscore(data: np.ndarray) -> np.ndarray:
     return (arr - mean) / std
 
 
+def load_domain(feature_path, label_path=None, normalize: bool = False) -> FeatureMatrix:
+    """Read one domain's feature file, and its label file when given.
+
+    Args:
+        feature_path: feature file in either format of :mod:`msa.io`.
+        label_path: label file with one label per feature row, or None.
+        normalize: z-score the features per dimension (see :func:`zscore`).
+
+    Raises:
+        DataFileError: a file is missing or malformed, or the label count
+            differs from the number of feature rows (naming the label file).
+    """
+    data = io.load_features(feature_path)
+    labels = None
+    if label_path is not None:
+        labels = io.load_labels(label_path)
+        if labels.shape[0] != data.shape[0]:
+            raise DataFileError(
+                f"{labels.shape[0]} labels for {data.shape[0]} samples",
+                path=label_path,
+            )
+    if normalize:
+        data = zscore(data)
+    return FeatureMatrix(data, labels)
+
+
 def _run_stage(stages: list[str], name: str, fn, *args):
     try:
         result = fn(*args)
@@ -141,9 +167,11 @@ def adapt(
         config: pipeline hyperparameters.
         source_name: domain name recorded in the report.
         target_name: domain name recorded in the report.
-        fit_cache: optional mapping used to reuse domain decompositions
-            across runs, keyed by (domain name, k, tau, max_subspaces); an
-            entry is reused only for the very data object it was fitted on.
+        fit_cache: optional dict that keeps domain decompositions across
+            runs, keyed by (data, k, tau, max_subspaces) where ``data`` is
+            the FeatureMatrix itself.  A FeatureMatrix hashes by identity,
+            so a fit is reused only for the very object it was fitted on,
+            and the key keeps that object alive.
 
     Returns:
         AdaptationResult with predictions, report and projected features.
@@ -167,21 +195,16 @@ def adapt(
         if config.method == "sa":
             tau_s = tau_t = 1.0
 
-        def fit_domain(data, name, tau):
-            key = (name, config.k, tau, config.max_subspaces)
-            if fit_cache is not None and key in fit_cache:
-                cached_data, fit = fit_cache[key]
-                if cached_data is data:
-                    return fit
-            fit = fit_multi(
-                data, FitConfig(k=config.k, tau=tau, max_subspaces=config.max_subspaces)
-            )
-            if fit_cache is not None:
-                fit_cache[key] = (data, fit)
-            return fit
+        cache = {} if fit_cache is None else fit_cache
 
-        src_fit = _run_stage(stages, "fit_source", fit_domain, source, source_name, tau_s)
-        tgt_fit = _run_stage(stages, "fit_target", fit_domain, target, target_name, tau_t)
+        def fit_domain(data, tau):
+            key = (data, config.k, tau, config.max_subspaces)
+            if key not in cache:
+                cache[key] = fit_multi(data, config.k, tau, config.max_subspaces)
+            return cache[key]
+
+        src_fit = _run_stage(stages, "fit_source", fit_domain, source, tau_s)
+        tgt_fit = _run_stage(stages, "fit_target", fit_domain, target, tau_t)
         distances = _run_stage(stages, "distance_matrix", distance_matrix, src_fit, tgt_fit)
         matching = _run_stage(stages, "greedy_match", greedy_match, distances)
         source_features, target_features = _run_stage(
@@ -220,12 +243,7 @@ DEFAULT_GRID_KS = (20, 45, 80)
 DEFAULT_GRID_TAUS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
 
 
-def default_grid(
-    n_source: int,
-    n_target: int,
-    n_features: int,
-    methods=METHODS,
-) -> list[AdaptationConfig]:
+def default_grid(n_source: int, n_target: int, n_features: int) -> list[AdaptationConfig]:
     """The default hyperparameter grid for one domain pair.
 
     Candidate subspace dimensions are clipped to what the pair supports;
@@ -233,18 +251,14 @@ def default_grid(
     """
     limit = min(n_source, n_target, n_features)
     ks = [k for k in DEFAULT_GRID_KS if k <= limit] or [limit]
-    grid: list[AdaptationConfig] = []
-    if "na" in methods:
-        grid.append(AdaptationConfig(k=1, method="na"))
-    if "sa" in methods:
-        grid.extend(AdaptationConfig(k=k, tau_s=1.0, tau_t=1.0, method="sa") for k in ks)
-    if "proposed" in methods:
-        grid.extend(
-            AdaptationConfig(k=k, tau_s=ts, tau_t=tt, method="proposed")
-            for k in ks
-            for ts in DEFAULT_GRID_TAUS
-            for tt in DEFAULT_GRID_TAUS
-        )
+    grid = [AdaptationConfig(k=1, method="na")]
+    grid.extend(AdaptationConfig(k=k, tau_s=1.0, tau_t=1.0, method="sa") for k in ks)
+    grid.extend(
+        AdaptationConfig(k=k, tau_s=ts, tau_t=tt, method="proposed")
+        for k in ks
+        for ts in DEFAULT_GRID_TAUS
+        for tt in DEFAULT_GRID_TAUS
+    )
     return grid
 
 
@@ -298,22 +312,13 @@ def run_benchmark(
     if normalize is None:
         normalize = feature_kind.lower() == "surf"
 
-    loaded: dict[str, FeatureMatrix] = {}
-    for name, (feature_path, label_path) in domains.items():
-        data = io.load_features(feature_path)
-        labels = io.load_labels(label_path)
-        if labels.shape[0] != data.shape[0]:
-            raise DataFileError(
-                f"{labels.shape[0]} labels for {data.shape[0]} samples",
-                path=label_path,
-            )
-        if normalize:
-            data = zscore(data)
-        loaded[name] = FeatureMatrix(data, labels)
+    loaded = {
+        name: load_domain(feature_path, label_path, normalize)
+        for name, (feature_path, label_path) in domains.items()
+    }
 
     runs: list[AdaptationReport] = []
     best: dict[tuple[str, str, str], AdaptationReport] = {}
-    order: list[tuple[str, str, str]] = []
     fit_cache: dict = {}
     for src_name, tgt_name in itertools.permutations(sorted(loaded), 2):
         source, target = loaded[src_name], loaded[tgt_name]
@@ -332,15 +337,9 @@ def run_benchmark(
             report = result.report
             runs.append(report)
             key = (src_name, tgt_name, config.method)
-            if key not in best:
-                order.append(key)
+            if key not in best or (report.accuracy or 0.0) > (best[key].accuracy or 0.0):
                 best[key] = report
-            elif (report.accuracy or 0.0) > (best[key].accuracy or 0.0):
-                best[key] = report
-    return BenchmarkResult(
-        best=tuple(best[key] for key in order),
-        runs=tuple(runs),
-    )
+    return BenchmarkResult(best=tuple(best.values()), runs=tuple(runs))
 
 
 def format_table(result: BenchmarkResult) -> str:

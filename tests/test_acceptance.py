@@ -19,7 +19,7 @@ from msa.alignment import align_pair
 from msa.classify import nn_classify
 from msa.grassmann import directional_distance
 from msa.io import discover_domains
-from msa.multifit import FitConfig, fit_multi
+from msa.multifit import fit_multi
 from msa.pipeline import AdaptationConfig, adapt, run_benchmark
 from msa.subspace import FeatureMatrix, Subspace, fit_pca, reconstruction_errors
 from msa.synthetic import planted_benchmark
@@ -105,21 +105,18 @@ def test_criterion_1_invariants_and_oracles(verdict):
             n = int(rng.integers(5, 80))
             d = int(rng.integers(2, 10))
             k = int(rng.integers(1, min(n - 1, d) + 1))
-            cfg = FitConfig(
-                k=k,
-                tau=float(rng.uniform(0.05, 1.0)),
-                max_subspaces=int(rng.integers(1, 8)),
-            )
+            tau = float(rng.uniform(0.05, 1.0))
+            max_subspaces = int(rng.integers(1, 8))
             X = rng.normal(size=(n, d))
-            fit = fit_multi(X, cfg)
-            assert len(fit) <= cfg.max_subspaces
+            fit = fit_multi(X, k=k, tau=tau, max_subspaces=max_subspaces)
+            assert len(fit) <= max_subspaces
             assert set(np.unique(fit.assignment)) == set(fit.ids)
             if fit.tau_escalations == 0:
                 # every non-final subspace reconstructs its members below tau
                 for sid in fit.ids[:-1]:
                     members = X[fit.assignment == sid]
                     errs = reconstruction_errors(members, fit.subspace(sid))
-                    assert np.all(errs < cfg.tau)
+                    assert np.all(errs < tau)
 
         # classification: agrees with a brute-force nearest neighbour
         for _ in range(20):
@@ -148,7 +145,7 @@ def test_criterion_2_planted_recovery_and_gain(verdict):
                 (src, info["source_planes"]),
                 (tgt, info["target_planes"]),
             ):
-                fit = fit_multi(fm, FitConfig(k=2, tau=0.3))
+                fit = fit_multi(fm, k=2, tau=0.3)
                 assert len(fit) == 2
                 for sub in fit.subspaces:
                     angle = min(

@@ -7,7 +7,7 @@ from msa.alignment import align_pair, build_features
 from msa.exceptions import ConfigError, DimensionMismatchError
 from msa.grassmann import distance_matrix
 from msa.matching import Matching, greedy_match
-from msa.multifit import FitConfig, fit_multi
+from msa.multifit import fit_multi
 from msa.subspace import Subspace
 
 from conftest import random_orthonormal
@@ -76,8 +76,8 @@ class TestBuildFeatures:
     def _paired_fits(self, rng, n=80, d=6, k=2, tau=0.4):
         Xs = rng.normal(size=(n, d))
         Xt = rng.normal(size=(n, d))
-        fs = fit_multi(Xs, FitConfig(k=k, tau=tau))
-        ft = fit_multi(Xt, FitConfig(k=k, tau=tau))
+        fs = fit_multi(Xs, k=k, tau=tau)
+        ft = fit_multi(Xt, k=k, tau=tau)
         matching = greedy_match(distance_matrix(fs, ft))
         return Xs, Xt, fs, ft, matching
 
@@ -114,7 +114,7 @@ class TestBuildFeatures:
         basis = random_orthonormal(rng, 5, 2)
         coeff = rng.normal(size=(40, 2))
         X = coeff @ basis.T
-        fit = fit_multi(X, FitConfig(k=2, tau=1.0))
+        fit = fit_multi(X, k=2, tau=1.0)
         matching = greedy_match(distance_matrix(fit, fit))
         fa, fb = build_features(fit, fit, matching)
         assert np.allclose(fa, fb, atol=1e-10)

@@ -85,6 +85,14 @@ class TestAdaptCommand:
         pair_files["src"].write_text("1.0,junk\n2.0,3.0\n")
         assert main(_adapt_argv(pair_files)) == 2
 
+    def test_label_count_mismatch_names_label_file(self, pair_files, tmp_path, capsys):
+        short = tmp_path / "short.labels"
+        short.write_text("".join(f"{i % 2}\n" for i in range(18)))
+        for key in ("src_labels", "tgt_labels"):
+            paths = dict(pair_files, **{key: short})
+            assert main(_adapt_argv(paths)) == 2
+            assert str(short) in capsys.readouterr().err
+
     def test_bad_method_exits_3(self, pair_files, capsys):
         assert main(_adapt_argv(pair_files, "--method", "magic")) == 3
         assert "error:" in capsys.readouterr().err
@@ -164,11 +172,12 @@ class TestBenchmarkCommand:
             "benchmark", "--dir", str(dataset_dir), "--features", "plane",
             "--grid", str(bad),
         ]
-        # An unknown key, and a fractional cap that would silently lift the
-        # subspace limit.
+        # An unknown key, a fractional cap that would silently lift the
+        # subspace limit, and a bool tau that would run as tau = 1.0.
         for entry, named in (
             ({"k": 2, "bogus": 1}, "bogus"),
             ({"k": 2, "tau_s": 0.2, "tau_t": 0.2, "max_subspaces": 2.5}, "max_subspaces"),
+            ({"k": 2, "tau_s": True, "tau_t": 0.2}, "tau_s"),
         ):
             bad.write_text(json.dumps([entry]))
             assert main(argv) == 3

@@ -6,7 +6,7 @@ from scipy.linalg import subspace_angles
 
 from msa.exceptions import DimensionMismatchError
 from msa.grassmann import directional_distance, distance_matrix
-from msa.multifit import FitConfig, fit_multi
+from msa.multifit import fit_multi
 from msa.subspace import Subspace
 
 from conftest import random_orthonormal
@@ -100,8 +100,8 @@ class TestDistanceMatrix:
     def test_entries_match_pairwise_calls(self, rng):
         Xs = rng.normal(size=(60, 6))
         Xt = rng.normal(size=(50, 6))
-        fs = fit_multi(Xs, FitConfig(k=2, tau=0.5))
-        ft = fit_multi(Xt, FitConfig(k=2, tau=0.6))
+        fs = fit_multi(Xs, k=2, tau=0.5)
+        ft = fit_multi(Xt, k=2, tau=0.6)
         dm = distance_matrix(fs, ft)
         assert dm.shape == (len(fs), len(ft))
         for sid in fs.ids:
@@ -111,13 +111,13 @@ class TestDistanceMatrix:
 
     def test_values_read_only(self, rng):
         X = rng.normal(size=(30, 4))
-        fit = fit_multi(X, FitConfig(k=2, tau=1.0))
+        fit = fit_multi(X, k=2, tau=1.0)
         dm = distance_matrix(fit, fit)
         with pytest.raises(ValueError):
             dm[0, 0] = 5.0
 
     def test_shape_validation(self, rng):
-        fs = fit_multi(rng.normal(size=(30, 4)), FitConfig(k=2, tau=1.0))
-        ft = fit_multi(rng.normal(size=(30, 5)), FitConfig(k=2, tau=1.0))
+        fs = fit_multi(rng.normal(size=(30, 4)), k=2, tau=1.0)
+        ft = fit_multi(rng.normal(size=(30, 5)), k=2, tau=1.0)
         with pytest.raises(DimensionMismatchError):
             distance_matrix(fs, ft)

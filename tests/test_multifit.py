@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
 from msa.exceptions import ConfigError, DegenerateDataError, DimensionMismatchError
-from msa.multifit import FitConfig, SubspaceCollection, fit_multi
+from msa.multifit import SubspaceCollection, fit_multi
 from msa.subspace import FeatureMatrix, Subspace, fit_pca, reconstruction_errors
 from msa.synthetic import planted_benchmark
 
@@ -15,27 +15,12 @@ from conftest import random_orthonormal
 
 
 class TestFitConfig:
-    def test_defaults(self):
-        cfg = FitConfig(k=3, tau=0.4)
-        assert cfg.max_subspaces == 16
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            FitConfig(k=0, tau=0.5)
-        with pytest.raises(ConfigError):
-            FitConfig(k=2, tau=0.0)
-        with pytest.raises(ConfigError):
-            FitConfig(k=2, tau=1.5)
-        with pytest.raises(ConfigError):
-            FitConfig(k=2, tau=0.5, max_subspaces=0)
-        # A fractional cap never equals a subspace count, so it would
-        # silently lift the cap; a bool is not a count either.
-        for k, max_subspaces in ((2, 2.5), (2, True), (True, 16), (2.0, 16)):
-            with pytest.raises(ConfigError, match="must be a positive integer"):
-                FitConfig(k=k, tau=0.2, max_subspaces=max_subspaces)
+    """The settings fit_multi takes alongside the data."""
 
     def test_tau_one_allowed(self):
-        FitConfig(k=2, tau=1.0)
+        # tau lies in (0, 1]: the closed upper end is a valid setting.
+        X = np.arange(30.0).reshape(10, 3) ** 2
+        fit_multi(X, k=2, tau=1.0)
 
 
 class TestSubspaceCollection:
@@ -49,9 +34,7 @@ class TestSubspaceCollection:
         )
         assert len(coll) == 2
         assert coll.ids == (1, 2)
-        assert coll.ambient_dim == 4
         assert coll.subspace(2) is coll.subspaces[1]
-        assert coll.sample_counts() == {1: 2, 2: 2}
 
     def test_every_id_must_appear(self, rng):
         sub = Subspace(random_orthonormal(rng, 4, 2), np.zeros(4))
@@ -86,18 +69,42 @@ class TestFitMulti:
     def test_single_subspace_when_tau_is_one(self, rng):
         """tau = 1.0 cannot produce outliers, so the fit is plain PCA."""
         X = rng.normal(size=(40, 6))
-        fit = fit_multi(X, FitConfig(k=3, tau=1.0))
+        fit = fit_multi(X, k=3, tau=1.0)
         ref = fit_pca(X, 3)
         assert len(fit) == 1
         assert np.array_equal(fit.subspace(1).basis, ref.basis)
         assert np.array_equal(fit.subspace(1).mean, ref.mean)
         assert np.all(fit.assignment == 1)
 
+    def test_default_cap_is_16(self, rng):
+        # Uncapped, this Gaussian sample peels into about 50 subspaces.
+        fit = fit_multi(rng.normal(size=(400, 10)), k=2, tau=0.2)
+        assert len(fit) == 16
+
+    def test_settings_validated(self):
+        X = np.arange(30.0).reshape(10, 3) ** 2
+        for k, tau, max_subspaces, named in (
+            (0, 0.5, 16, "k"),
+            (2, 0.0, 16, "tau"),
+            (2, 1.5, 16, "tau"),
+            (2, 0.5, 0, "max_subspaces"),
+            # A fractional cap never equals a subspace count, so it would
+            # silently lift the cap; a bool is not a count either.
+            (2, 0.2, 2.5, "max_subspaces"),
+            (2, 0.2, True, "max_subspaces"),
+            (True, 0.2, 16, "k"),
+            (2.0, 0.2, 16, "k"),
+            # True would run as tau = 1.0, the single-subspace setting.
+            (2, True, 16, "tau"),
+        ):
+            with pytest.raises(ConfigError, match=f"^{named} must be"):
+                fit_multi(X, k=k, tau=tau, max_subspaces=max_subspaces)
+
     def test_single_plane_stays_single(self, rng):
         basis = random_orthonormal(rng, 8, 2)
         coeff = rng.normal(size=(60, 2)) * [3.0, 1.5]
         X = coeff @ basis.T + rng.normal(size=(60, 8)) * 0.01
-        fit = fit_multi(X, FitConfig(k=2, tau=0.3))
+        fit = fit_multi(X, k=2, tau=0.3)
         assert len(fit) == 1
 
     def test_recovers_planted_planes(self):
@@ -105,7 +112,7 @@ class TestFitMulti:
         for seed in range(5):
             src, tgt, info = planted_benchmark(seed=seed)
             for fm, planes in ((src, info["source_planes"]), (tgt, info["target_planes"])):
-                fit = fit_multi(fm, FitConfig(k=2, tau=0.3))
+                fit = fit_multi(fm, k=2, tau=0.3)
                 assert len(fit) == 2
                 assert fit.tau_escalations == 0
                 for sub in fit.subspaces:
@@ -122,8 +129,8 @@ class TestFitMulti:
             rng.normal(size=(40, 2)) @ random_orthonormal(rng, 6, 2).T,
             rng.normal(size=(10, 6)) * 2.0,
         ])
-        cfg = FitConfig(k=2, tau=0.25)
-        fit = fit_multi(X, cfg)
+        tau = 0.25
+        fit = fit_multi(X, k=2, tau=tau)
         assert fit.tau_escalations == 0
         last = len(fit)
         for sid in fit.ids:
@@ -131,7 +138,7 @@ class TestFitMulti:
                 continue
             members = X[fit.assignment == sid]
             errs = reconstruction_errors(members, fit.subspace(sid))
-            assert np.all(errs < cfg.tau)
+            assert np.all(errs < tau)
 
     def test_termination_and_coverage_randomized(self, rng):
         """Random data and configs: always terminates, assigns every sample."""
@@ -143,9 +150,9 @@ class TestFitMulti:
             X = rng.normal(size=(n, d))
             if rng.random() < 0.3:
                 X[: n // 2] @= np.diag(rng.uniform(0.1, 2.0, size=d))
-            cfg = FitConfig(k=k, tau=tau, max_subspaces=int(rng.integers(1, 8)))
-            fit = fit_multi(X, cfg)
-            assert len(fit) <= cfg.max_subspaces
+            max_subspaces = int(rng.integers(1, 8))
+            fit = fit_multi(X, k=k, tau=tau, max_subspaces=max_subspaces)
+            assert len(fit) <= max_subspaces
             assert fit.assignment.shape == (n,)
             assert set(np.unique(fit.assignment)) == set(fit.ids)
             for sub in fit.subspaces:
@@ -157,29 +164,29 @@ class TestFitMulti:
             rng.normal(size=(15, 1)) @ p.T + rng.normal(size=(15, 10)) * 0.001
             for p in planes
         ])
-        fit = fit_multi(X, FitConfig(k=1, tau=0.05, max_subspaces=3))
+        fit = fit_multi(X, k=1, tau=0.05, max_subspaces=3)
         assert len(fit) == 3
 
     def test_ids_are_one_based_and_dense(self, rng):
         X = rng.normal(size=(50, 5))
-        fit = fit_multi(X, FitConfig(k=2, tau=0.3))
+        fit = fit_multi(X, k=2, tau=0.3)
         assert fit.ids == tuple(range(1, len(fit) + 1))
 
     def test_accepts_feature_matrix(self, rng):
         X = rng.normal(size=(30, 4))
-        a = fit_multi(FeatureMatrix(X), FitConfig(k=2, tau=0.4))
-        b = fit_multi(X, FitConfig(k=2, tau=0.4))
+        a = fit_multi(FeatureMatrix(X), k=2, tau=0.4)
+        b = fit_multi(X, k=2, tau=0.4)
         assert len(a) == len(b)
         assert np.array_equal(a.assignment, b.assignment)
 
     def test_degenerate_pool_rejected(self):
         with pytest.raises(DegenerateDataError):
-            fit_multi(np.ones((5, 3)), FitConfig(k=1, tau=0.5))
+            fit_multi(np.ones((5, 3)), k=1, tau=0.5)
         # Non-finite samples fail as a package error, not inside the SVD.
         X = np.arange(15.0).reshape(5, 3) ** 2
         X[1, 2] = np.nan
         with pytest.raises(DegenerateDataError):
-            fit_multi(X, FitConfig(k=1, tau=0.5))
+            fit_multi(X, k=1, tau=0.5)
 
 
 @settings(max_examples=60, deadline=None)
@@ -196,7 +203,7 @@ def test_coords_are_projections_of_assigned_samples(seed, n, d, k_frac, tau, max
     rng = np.random.default_rng(seed)
     k = 1 + int(k_frac * (min(n - 1, d) - 1))
     X = rng.normal(size=(n, d))
-    fit = fit_multi(X, FitConfig(k=k, tau=tau, max_subspaces=max_subspaces))
+    fit = fit_multi(X, k=k, tau=tau, max_subspaces=max_subspaces)
     assert len(fit.coords) == len(fit)
     for sid, sub, block in zip(fit.ids, fit.subspaces, fit.coords):
         members = X[fit.assignment == sid]

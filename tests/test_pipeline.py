@@ -38,6 +38,11 @@ class TestAdaptationConfig:
             AdaptationConfig(k=2, tau_s=0.0)
         with pytest.raises(ConfigError, match="tau_t"):
             AdaptationConfig(k=2, tau_t=1.2)
+        # True would run as tau = 1.0, the single-subspace setting.
+        with pytest.raises(ConfigError, match="tau_s"):
+            AdaptationConfig(k=2, tau_s=True)
+        with pytest.raises(ConfigError, match="tau_t"):
+            AdaptationConfig(k=2, tau_t=True)
 
 
 class TestAdapt:
@@ -220,6 +225,24 @@ class TestRunBenchmark:
                 == (report.source, report.target, report.config.method)
             ]
             assert report.accuracy == max(rivals)
+
+    def test_best_keeps_first_seen_order(self, dataset_dir):
+        """A better later run replaces a best entry without moving it."""
+        grid = [
+            AdaptationConfig(k=2, tau_s=1.0, tau_t=1.0, method="proposed"),
+            AdaptationConfig(k=2, method="sa"),
+            AdaptationConfig(k=2, tau_s=0.3, tau_t=0.3, method="proposed"),
+            AdaptationConfig(k=1, method="na"),
+        ]
+        result = run_benchmark(dataset_dir, "plane", grid=grid, normalize=False)
+        assert [(r.source, r.target, r.config.method) for r in result.best] == [
+            (s, t, m)
+            for s, t in (("alpha", "beta"), ("beta", "alpha"))
+            for m in ("proposed", "sa", "na")
+        ]
+        assert all(
+            r.config.tau_s == 0.3 for r in result.best if r.config.method == "proposed"
+        )
 
     def test_adaptation_helps_on_planted_data(self, dataset_dir, small_grid):
         result = run_benchmark(dataset_dir, "plane", grid=small_grid, normalize=False)
