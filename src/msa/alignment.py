@@ -56,32 +56,31 @@ def build_features(
     Args:
         source_fit: decomposition of the source samples.
         target_fit: decomposition of the target samples.
-        matching: pairing of source subspace ids with target subspace ids.
+        matching: pairing of source subspaces with target subspaces.
 
     Returns:
         (source_features, target_features) of shapes (N_s, r) and (N_t, r),
         rows in the order of the fitted samples.
     """
-    if {sid for sid, _, _ in matching.pairs} != set(source_fit.ids):
+    if [i for i, _, _ in matching.pairs] != list(range(len(source_fit))):
         raise ConfigError(
-            "matching does not cover every source subspace exactly once"
+            "matching does not list every source subspace once, in order"
         )
-    transforms = {
-        sid: align_pair(source_fit.subspace(sid), target_fit.subspace(tid))
-        for sid, tid, _ in matching.pairs
-    }
+    transforms = [
+        align_pair(source_fit.subspaces[i], target_fit.subspaces[j])
+        for i, j, _ in matching.pairs
+    ]
     r = min(
-        min(a.shape[1] for a in transforms.values()),
+        min(a.shape[1] for a in transforms),
         min(s.rank for s in target_fit.subspaces),
     )
 
     source_features = np.empty((source_fit.assignment.shape[0], r))
-    for sid, coords in zip(source_fit.ids, source_fit.coords):
-        a = transforms[sid]
-        source_features[source_fit.assignment == sid] = coords[:, : a.shape[0]] @ a[:, :r]
+    for i, (coords, a) in enumerate(zip(source_fit.coords, transforms)):
+        source_features[source_fit.assignment == i] = coords[:, : a.shape[0]] @ a[:, :r]
 
     target_features = np.empty((target_fit.assignment.shape[0], r))
-    for tid, coords in zip(target_fit.ids, target_fit.coords):
-        target_features[target_fit.assignment == tid] = coords[:, :r]
+    for i, coords in enumerate(target_fit.coords):
+        target_features[target_fit.assignment == i] = coords[:, :r]
 
     return source_features, target_features

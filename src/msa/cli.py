@@ -85,6 +85,15 @@ def _load_grid(path) -> list[pipeline.AdaptationConfig]:
     return grid
 
 
+def _write_out(path, text: str) -> None:
+    """Write ``text`` and a final newline to ``path``; OSError is a data error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        raise DataFileError(f"cannot write: {exc.strerror or exc}", path=path) from None
+
+
 def _cmd_adapt(args) -> int:
     normalize = args.zscore == "on"
     source = pipeline.load_domain(args.src, args.src_labels, normalize)
@@ -104,9 +113,7 @@ def _cmd_adapt(args) -> int:
         f"{report.num_tgt_subspaces} target"
     )
     if args.out:
-        text = pipeline.report_to_json(report, result.prediction.predictions)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write_out(args.out, pipeline.report_to_json(report, result.prediction.predictions))
         print(f"report written to {args.out}")
     return EXIT_OK
 
@@ -120,9 +127,7 @@ def _cmd_benchmark(args) -> int:
     if args.table or not args.out:
         print(pipeline.format_table(result))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(result.to_dict(), fh, indent=2)
-            fh.write("\n")
+        _write_out(args.out, json.dumps(result.to_dict(), indent=2))
         print(f"reports written to {args.out}")
     return EXIT_OK
 

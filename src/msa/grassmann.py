@@ -60,7 +60,7 @@ def distance_matrix(source, target) -> np.ndarray:
 
     Returns:
         Read-only (m_s, m_t) array; entry [i, j] is the distance between
-        source subspace i + 1 and target subspace j + 1.
+        source subspace i and target subspace j.
     """
     values = np.empty((len(source.subspaces), len(target.subspaces)))
     for i, s in enumerate(source.subspaces):

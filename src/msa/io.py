@@ -2,9 +2,9 @@
 
 Two feature-file formats are supported and auto-detected:
 
-* CSV: one sample per row, d numeric columns, comma separated.  A header
-  row is detected (and skipped) when its first row contains any token that
-  does not parse as a number.
+* CSV: one sample per row, d numeric columns, comma separated; empty lines
+  are skipped.  The first non-blank line is a header (and skipped) when it
+  contains any token that does not parse as a number.
 * Binary: magic bytes ``MSA1``, then N and d as little-endian uint32, then
   N * d little-endian float64 values in row-major order.
 
@@ -38,11 +38,14 @@ def _detect_header(first_line: str) -> bool:
 
 
 def _load_csv(path: Path) -> np.ndarray:
+    # skip counts the leading blank lines, plus the header if there is one.
     with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-        if not first.strip():
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                skip = lineno if _detect_header(line) else lineno - 1
+                break
+        else:
             raise DataFileError("file is empty", path=path)
-        skip = 1 if _detect_header(first) else 0
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -54,9 +57,7 @@ def _load_csv(path: Path) -> np.ndarray:
         width = None
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
-                if lineno == 1 and skip:
-                    continue
-                if not line.strip():
+                if lineno <= skip or not line.strip():
                     continue
                 tokens = line.split(",")
                 for token in tokens:
@@ -116,13 +117,9 @@ def load_features(path) -> np.ndarray:
     return _load_csv(path)
 
 
-def save_features_csv(path, data, header=None) -> None:
-    """Write an (N, d) array as a CSV feature file, optionally with a header."""
-    arr = np.asarray(data, dtype=np.float64)
-    kwargs = {}
-    if header is not None:
-        kwargs = {"header": ",".join(str(h) for h in header), "comments": ""}
-    np.savetxt(Path(path), arr, delimiter=",", **kwargs)
+def save_features_csv(path, data) -> None:
+    """Write an (N, d) array as a CSV feature file."""
+    np.savetxt(Path(path), np.asarray(data, dtype=np.float64), delimiter=",")
 
 
 def save_features_binary(path, data) -> None:

@@ -1,8 +1,7 @@
 """Greedy pairing of source subspaces with target subspaces by distance.
 
 ``greedy_match`` takes the (m_s, m_t) array of ``grassmann.distance_matrix``
-and numbers each subspace by its position + 1, the ids of
-``SubspaceCollection``.
+and numbers each subspace by its position in its ``SubspaceCollection``.
 """
 
 from __future__ import annotations
@@ -16,9 +15,10 @@ from .exceptions import DegenerateDataError
 
 @dataclass(frozen=True)
 class Matching:
-    """Matched (source_id, target_id, distance) triples plus the surplus policy.
+    """Matched (source, target, distance) triples plus the surplus policy.
 
-    ``pairs`` holds one triple per source subspace, sorted by source id.
+    ``pairs`` holds one triple per source subspace, sorted by source; each
+    subspace is named by its position in its collection.
     ``policy`` records how a size mismatch between the two collections was
     handled.
     """
@@ -31,15 +31,15 @@ def greedy_match(distances: np.ndarray) -> Matching:
     """Match every source subspace to a target subspace, nearest first.
 
     Repeatedly takes the globally smallest entry among still-unmatched rows
-    and columns, breaking ties by lowest source id, then lowest target id.
+    and columns, breaking ties by lowest source, then lowest target.
     When sources outnumber targets, each leftover source is matched to its
-    individually nearest target (the lowest id among equals), reusing
+    individually nearest target (the lowest among equals), reusing
     targets already taken.  When targets outnumber sources, the leftovers
     stay unmatched.
 
     Args:
         distances: (m_s, m_t) array; entry [i, j] is the distance between
-            source subspace i + 1 and target subspace j + 1.
+            source subspace i and target subspace j.
 
     Returns:
         Matching with one pair per source subspace.
@@ -69,7 +69,5 @@ def greedy_match(distances: np.ndarray) -> Matching:
     else:
         policy = "surplus_targets_unmatched"
 
-    pairs = tuple(
-        (i + 1, target_of[i] + 1, float(values[i, target_of[i]])) for i in range(m_s)
-    )
+    pairs = tuple((i, target_of[i], float(values[i, target_of[i]])) for i in range(m_s))
     return Matching(pairs=pairs, policy=policy)

@@ -41,12 +41,13 @@ def _check_fit_settings(k, max_subspaces, **taus) -> None:
 class SubspaceCollection:
     """An ordered set of subspaces plus the per-sample assignment.
 
-    Subspace ids run from 1 to len(subspaces) in fit order.  ``assignment``
-    maps each sample (by row index in the fitted data) to the id of the
-    subspace it belongs to; every id appears at least once.
+    Subspaces are numbered by their position in ``subspaces``, which is fit
+    order.  ``assignment`` maps each sample (by row index in the fitted data)
+    to the position of the subspace it belongs to; every position appears at
+    least once.
 
     ``coords`` holds one read-only block per subspace: block i is the
-    (count_i, rank_i) matrix of coordinates, in subspace i+1's frame, of the
+    (count_i, rank_i) matrix of coordinates, in subspace i's frame, of the
     samples assigned to it, in row order.
 
     ``tau_escalations`` counts how many times the fitting loop had to relax
@@ -72,16 +73,14 @@ class SubspaceCollection:
             raise DimensionMismatchError("assignment must be a vector")
         m = len(subspaces)
         present = np.unique(assignment)
-        if present.size == 0 or present[0] < 1 or present[-1] > m:
+        if not np.array_equal(present, np.arange(m)):
             raise DegenerateDataError(
-                f"assignment ids must lie in 1..{m}, got {present.tolist()}"
+                f"assignment must use every position 0..{m - 1} and no other "
+                f"value, got {present.tolist()}"
             )
-        if present.size != m:
-            missing = sorted(set(range(1, m + 1)) - set(present.tolist()))
-            raise DegenerateDataError(f"subspace ids {missing} have no samples")
         assignment.setflags(write=False)
         coords = tuple(_frozen_array(block) for block in self.coords)
-        counts = np.bincount(assignment, minlength=m + 1)[1:]
+        counts = np.bincount(assignment, minlength=m)
         shapes = [block.shape for block in coords]
         expected = [(int(c), s.rank) for c, s in zip(counts, subspaces)]
         if shapes != expected:
@@ -92,18 +91,8 @@ class SubspaceCollection:
         object.__setattr__(self, "assignment", assignment)
         object.__setattr__(self, "coords", coords)
 
-    @property
-    def ids(self) -> tuple[int, ...]:
-        return tuple(range(1, len(self.subspaces) + 1))
-
     def __len__(self) -> int:
         return len(self.subspaces)
-
-    def subspace(self, sid: int) -> Subspace:
-        """The subspace with id ``sid`` (ids are 1-based)."""
-        if not 1 <= sid <= len(self.subspaces):
-            raise DimensionMismatchError(f"no subspace with id {sid}")
-        return self.subspaces[sid - 1]
 
 
 def _fittable(pool: np.ndarray) -> bool:
@@ -135,7 +124,9 @@ def fit_multi(data, k: int, tau: float, max_subspaces: int = 16) -> SubspaceColl
         k: requested dimension of each subspace, 1 <= k <= d.
         tau: relative reconstruction-error threshold in (0, 1]; a sample with
             error below tau counts as an inlier of the current subspace.
-            With tau = 1.0 the decomposition degenerates to a single PCA fit.
+            With tau = 1.0 only samples orthogonal to a fit (error exactly
+            1.0) are outliers, so the fit is a single PCA unless k or more
+            such samples exist; max_subspaces = 1 always gives one.
         max_subspaces: hard cap on the number of subspaces, >= 1.
 
     Returns:
@@ -151,12 +142,12 @@ def fit_multi(data, k: int, tau: float, max_subspaces: int = 16) -> SubspaceColl
         raise ConfigError(f"k = {k} exceeds the feature dimension {d}")
 
     remaining = np.arange(n)
-    assignment = np.zeros(n, dtype=np.int64)
+    assignment = np.full(n, -1, dtype=np.int64)
     subspaces: list[Subspace] = []
     escalations = 0
 
     while True:
-        sid = len(subspaces) + 1
+        position = len(subspaces)
         pool = X[remaining]
         base = fit_pca(pool, min(k, pool.shape[0]))
         errors = reconstruction_errors(pool, base)
@@ -164,13 +155,13 @@ def fit_multi(data, k: int, tau: float, max_subspaces: int = 16) -> SubspaceColl
         n_out = int(np.count_nonzero(outliers))
 
         final = (
-            sid == max_subspaces
+            position == max_subspaces - 1
             or n_out < k
             or not _fittable(pool[outliers])
         )
         if final:
             subspaces.append(base)
-            assignment[remaining] = sid
+            assignment[remaining] = position
             break
 
         tau_eff = tau
@@ -195,14 +186,14 @@ def fit_multi(data, k: int, tau: float, max_subspaces: int = 16) -> SubspaceColl
             keep = errors < tau_eff
 
         subspaces.append(base)
-        assignment[remaining[keep]] = sid
+        assignment[remaining[keep]] = position
         rest = remaining[~keep]
         if rest.size == 0:
             break
         if not _fittable(X[rest]):
             # Remainder too small or degenerate for another fit; fold it into
             # the subspace just added, which thereby becomes the final one.
-            assignment[rest] = sid
+            assignment[rest] = position
             break
         remaining = rest
 
@@ -210,8 +201,7 @@ def fit_multi(data, k: int, tau: float, max_subspaces: int = 16) -> SubspaceColl
         subspaces=tuple(subspaces),
         assignment=assignment,
         coords=tuple(
-            sub.project(X[assignment == sid])
-            for sid, sub in enumerate(subspaces, start=1)
+            sub.project(X[assignment == i]) for i, sub in enumerate(subspaces)
         ),
         tau_escalations=escalations,
     )

@@ -5,9 +5,9 @@ them across domains on the Grassmann manifold, aligns each matched pair in
 closed form, projects both domains into the shared coordinates and labels
 target samples with a 1-nearest-neighbour classifier trained on the
 projected source.  Two reference paths are built in: ``na`` classifies raw
-features without any adaptation, and ``sa`` forces a single subspace per
-domain (both thresholds at 1.0), which reduces the pipeline to plain
-subspace alignment.
+features without any adaptation, and ``sa`` is the configuration with one
+subspace per domain (``max_subspaces`` 1, both thresholds 1.0), which
+reduces the pipeline to plain subspace alignment.
 """
 
 from __future__ import annotations
@@ -44,7 +44,9 @@ class AdaptationConfig:
         k: subspace dimension handed to the decomposition of both domains.
         tau_s: source-domain inlier threshold in (0, 1].
         tau_t: target-domain inlier threshold in (0, 1].
-        method: "proposed", "na" (no adaptation) or "sa" (single subspace).
+        method: "proposed", "na" (no adaptation) or "sa" (single subspace:
+            after validation, tau_s = tau_t = 1.0 and max_subspaces = 1 are
+            stored whatever was given).
         max_subspaces: cap on subspaces per domain.
     """
 
@@ -61,6 +63,10 @@ class AdaptationConfig:
             raise ConfigError(
                 f"method must be one of {METHODS}, got {self.method!r}"
             )
+        if self.method == "sa":
+            object.__setattr__(self, "tau_s", 1.0)
+            object.__setattr__(self, "tau_t", 1.0)
+            object.__setattr__(self, "max_subspaces", 1)
 
 
 @dataclass(frozen=True)
@@ -187,14 +193,9 @@ def adapt(
     stages: list[str] = []
 
     if config.method == "na":
-        source_features = source.data
-        target_features = target.data
+        train, test = source, target
         num_src = num_tgt = 0
     else:
-        tau_s, tau_t = config.tau_s, config.tau_t
-        if config.method == "sa":
-            tau_s = tau_t = 1.0
-
         cache = {} if fit_cache is None else fit_cache
 
         def fit_domain(data, tau):
@@ -203,20 +204,18 @@ def adapt(
                 cache[key] = fit_multi(data, config.k, tau, config.max_subspaces)
             return cache[key]
 
-        src_fit = _run_stage(stages, "fit_source", fit_domain, source, tau_s)
-        tgt_fit = _run_stage(stages, "fit_target", fit_domain, target, tau_t)
+        src_fit = _run_stage(stages, "fit_source", fit_domain, source, config.tau_s)
+        tgt_fit = _run_stage(stages, "fit_target", fit_domain, target, config.tau_t)
         distances = _run_stage(stages, "distance_matrix", distance_matrix, src_fit, tgt_fit)
         matching = _run_stage(stages, "greedy_match", greedy_match, distances)
         source_features, target_features = _run_stage(
             stages, "align_project", build_features, src_fit, tgt_fit, matching,
         )
+        train = FeatureMatrix(source_features, source.labels)
+        test = FeatureMatrix(target_features)
         num_src, num_tgt = len(src_fit), len(tgt_fit)
 
-    prediction = _run_stage(
-        stages, "classify", nn_classify,
-        FeatureMatrix(source_features, source.labels),
-        FeatureMatrix(target_features, target.labels),
-    )
+    prediction = _run_stage(stages, "classify", nn_classify, train, test)
     accuracy = None
     if target.labels is not None:
         accuracy = evaluate_accuracy(prediction.predictions, target.labels)
@@ -234,8 +233,8 @@ def adapt(
     return AdaptationResult(
         prediction=prediction,
         report=report,
-        source_features=np.asarray(source_features),
-        target_features=np.asarray(target_features),
+        source_features=train.data,
+        target_features=test.data,
     )
 
 
@@ -252,7 +251,7 @@ def default_grid(n_source: int, n_target: int, n_features: int) -> list[Adaptati
     limit = min(n_source, n_target, n_features)
     ks = [k for k in DEFAULT_GRID_KS if k <= limit] or [limit]
     grid = [AdaptationConfig(k=1, method="na")]
-    grid.extend(AdaptationConfig(k=k, tau_s=1.0, tau_t=1.0, method="sa") for k in ks)
+    grid.extend(AdaptationConfig(k=k, method="sa") for k in ks)
     grid.extend(
         AdaptationConfig(k=k, tau_s=ts, tau_t=tt, method="proposed")
         for k in ks
@@ -264,15 +263,14 @@ def default_grid(n_source: int, n_target: int, n_features: int) -> list[Adaptati
 
 @dataclass(frozen=True)
 class BenchmarkResult:
-    """Best-per-pair reports plus every grid run and the selection caveat."""
+    """Best-per-pair reports plus every grid run."""
 
     best: tuple[AdaptationReport, ...]
     runs: tuple[AdaptationReport, ...]
-    note: str = GRID_CAVEAT
 
     def to_dict(self) -> dict:
         return {
-            "note": self.note,
+            "note": GRID_CAVEAT,
             "best": [r.to_dict() for r in self.best],
             "runs": [r.to_dict() for r in self.runs],
         }
@@ -354,7 +352,7 @@ def format_table(result: BenchmarkResult) -> str:
         if report.config.method not in methods:
             methods.append(report.config.method)
         cell[(report.source, report.target, report.config.method)] = report.accuracy
-    methods.sort(key=lambda m: METHODS.index(m) if m in METHODS else len(METHODS))
+    methods.sort(key=METHODS.index)
 
     names = sorted({n for pair in pairs for n in pair})
     initials = {name: name[:1].upper() for name in names}
@@ -382,7 +380,7 @@ def format_table(result: BenchmarkResult) -> str:
         for row in rows
     ]
     lines.append("")
-    lines.append(f"note: {result.note}")
+    lines.append(f"note: {GRID_CAVEAT}")
     return "\n".join(lines)
 
 

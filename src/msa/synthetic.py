@@ -17,6 +17,14 @@ import numpy as np
 
 from .subspace import FeatureMatrix
 
+# Per plane: cluster offset along the leading axis, in-cluster spread along
+# the leading axis, spread along the second axis, and the (low, high) range
+# in degrees of the target rotation.
+OFFSETS = (2.5, 0.9)
+SPREADS_MAJOR = (0.6, 0.3)
+SPREADS_MINOR = (1.3, 0.25)
+THETA_DEG = ((50.0, 56.0), (12.0, 20.0))
+
 
 def random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
     """A random n x n orthogonal matrix drawn via QR."""
@@ -24,24 +32,13 @@ def random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def _cluster_coefficients(rng, n, offset, spread_major, spread_minor, sign):
-    major = sign * offset + rng.normal(0.0, spread_major, size=n)
-    minor = rng.normal(0.0, spread_minor, size=n)
+def _cluster_coefficients(rng, n, plane, sign):
+    major = sign * OFFSETS[plane] + rng.normal(0.0, SPREADS_MAJOR[plane], size=n)
+    minor = rng.normal(0.0, SPREADS_MINOR[plane], size=n)
     return np.column_stack([major, minor])
 
 
-def planted_benchmark(
-    seed: int = 0,
-    n_per_cluster: int = 50,
-    noise: float = 0.01,
-    offsets: tuple[float, float] = (2.5, 0.9),
-    spreads_major: tuple[float, float] = (0.6, 0.3),
-    spreads_minor: tuple[float, float] = (1.3, 0.25),
-    theta_deg: tuple[tuple[float, float], tuple[float, float]] = (
-        (50.0, 56.0),
-        (12.0, 20.0),
-    ),
-):
+def planted_benchmark(seed: int = 0, n_per_cluster: int = 50, noise: float = 0.01):
     """Generate one source/target domain pair with known structure.
 
     Args:
@@ -49,10 +46,6 @@ def planted_benchmark(
         n_per_cluster: samples per sign-cluster; each domain ends up with
             4 * n_per_cluster samples.
         noise: standard deviation of isotropic ambient noise.
-        offsets: cluster offset along each plane's leading axis.
-        spreads_major: in-cluster spread along the leading axis, per plane.
-        spreads_minor: spread along each plane's second axis.
-        theta_deg: (low, high) rotation-angle range in degrees, per plane.
 
     Returns:
         (source, target, info): two labelled FeatureMatrix objects and a dict
@@ -65,7 +58,7 @@ def planted_benchmark(
     fresh = frame[:, 4:6]
 
     angles = tuple(
-        math.radians(rng.uniform(low, high)) for low, high in theta_deg
+        math.radians(rng.uniform(low, high)) for low, high in THETA_DEG
     )
     # Plane 1 rotates axis-for-axis into plane 2; plane 2 into fresh space.
     planes_tgt = (
@@ -80,14 +73,7 @@ def planted_benchmark(
         blocks, labels = [], []
         for p, basis in enumerate(planes):
             for sign in (+1, -1):
-                coeff = _cluster_coefficients(
-                    rng,
-                    n_per_cluster,
-                    offsets[p],
-                    spreads_major[p],
-                    spreads_minor[p],
-                    sign,
-                )
+                coeff = _cluster_coefficients(rng, n_per_cluster, p, sign)
                 blocks.append(coeff @ basis.T)
                 labels.append(np.full(n_per_cluster, class_of_sign[p][sign]))
         data = np.vstack(blocks)

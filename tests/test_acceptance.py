@@ -110,12 +110,12 @@ def test_criterion_1_invariants_and_oracles(verdict):
             X = rng.normal(size=(n, d))
             fit = fit_multi(X, k=k, tau=tau, max_subspaces=max_subspaces)
             assert len(fit) <= max_subspaces
-            assert set(np.unique(fit.assignment)) == set(fit.ids)
+            assert set(np.unique(fit.assignment)) == set(range(len(fit)))
             if fit.tau_escalations == 0:
                 # every non-final subspace reconstructs its members below tau
-                for sid in fit.ids[:-1]:
-                    members = X[fit.assignment == sid]
-                    errs = reconstruction_errors(members, fit.subspace(sid))
+                for i, sub in enumerate(fit.subspaces[:-1]):
+                    members = X[fit.assignment == i]
+                    errs = reconstruction_errors(members, sub)
                     assert np.all(errs < tau)
 
         # classification: agrees with a brute-force nearest neighbour

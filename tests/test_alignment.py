@@ -96,17 +96,16 @@ class TestBuildFeatures:
         r = fa.shape[1]
         # Independent of the coordinate form: the d x r aligned basis
         # Bs Bs^T Bt applied to the raw samples of each pair.
-        for sid, tid, _ in matching.pairs:
-            src = fs.subspace(sid)
-            tgt = ft.subspace(tid)
+        for i, j, _ in matching.pairs:
+            src = fs.subspaces[i]
+            tgt = ft.subspaces[j]
             bs = src.basis[:, : min(src.rank, tgt.rank)]
             bt = tgt.basis[:, : bs.shape[1]]
-            mask = fs.assignment == sid
+            mask = fs.assignment == i
             expected = (Xs[mask] - src.mean) @ (bs @ bs.T @ bt)[:, :r]
             assert np.allclose(fa[mask], expected, atol=1e-12)
-        for tid in ft.ids:
-            tgt = ft.subspace(tid)
-            tmask = ft.assignment == tid
+        for j, tgt in enumerate(ft.subspaces):
+            tmask = ft.assignment == j
             expected_t = (Xt[tmask] - tgt.mean) @ tgt.basis[:, :r]
             assert np.allclose(fb[tmask], expected_t, atol=1e-12)
 

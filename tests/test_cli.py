@@ -103,6 +103,11 @@ class TestAdaptCommand:
         assert main(argv) == 3
         assert "stage 'fit_source'" in capsys.readouterr().err
 
+    def test_unwritable_out_exits_2(self, pair_files, tmp_path, capsys):
+        out_path = tmp_path / "absent" / "report.json"
+        assert main(_adapt_argv(pair_files, "--out", str(out_path))) == 2
+        assert str(out_path) in capsys.readouterr().err
+
     def test_zscore_flag_runs(self, pair_files, capsys):
         assert main(_adapt_argv(pair_files, "--zscore", "on")) == 0
         assert main(_adapt_argv(pair_files, "--zscore", "off")) == 0
@@ -152,6 +157,18 @@ class TestBenchmarkCommand:
         assert payload["note"]
         assert len(payload["best"]) == 6
         assert len(payload["runs"]) == 6
+        # The SA entry gives no thresholds; the runs record the ones it ran.
+        sa = [r["config"] for r in payload["runs"] if r["config"]["method"] == "sa"]
+        assert [(c["tau_s"], c["tau_t"], c["max_subspaces"]) for c in sa] == [(1.0, 1.0, 1)] * 2
+
+    def test_unwritable_out_exits_2(self, dataset_dir, grid_file, tmp_path, capsys):
+        out_path = tmp_path / "absent" / "bench.json"
+        argv = [
+            "benchmark", "--dir", str(dataset_dir), "--features", "plane",
+            "--grid", str(grid_file), "--zscore", "off", "--out", str(out_path),
+        ]
+        assert main(argv) == 2
+        assert str(out_path) in capsys.readouterr().err
 
     def test_empty_dir_exits_2(self, tmp_path, capsys):
         argv = ["benchmark", "--dir", str(tmp_path), "--features", "plane"]

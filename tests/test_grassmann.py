@@ -104,10 +104,10 @@ class TestDistanceMatrix:
         ft = fit_multi(Xt, k=2, tau=0.6)
         dm = distance_matrix(fs, ft)
         assert dm.shape == (len(fs), len(ft))
-        for sid in fs.ids:
-            for tid in ft.ids:
-                expected = directional_distance(fs.subspace(sid), ft.subspace(tid))
-                assert dm[sid - 1, tid - 1] == pytest.approx(expected, abs=1e-12)
+        for i, s in enumerate(fs.subspaces):
+            for j, t in enumerate(ft.subspaces):
+                expected = directional_distance(s, t)
+                assert dm[i, j] == pytest.approx(expected, abs=1e-12)
 
     def test_values_read_only(self, rng):
         X = rng.normal(size=(30, 4))

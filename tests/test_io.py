@@ -22,17 +22,22 @@ class TestCsv:
         loaded = load_features(path)
         assert np.allclose(loaded, data, atol=1e-12)
 
-    def test_round_trip_with_header(self, rng, tmp_path):
-        data = rng.normal(size=(4, 2))
-        path = tmp_path / "feat.csv"
-        save_features_csv(path, data, header=["alpha", "beta"])
-        loaded = load_features(path)
-        assert np.allclose(loaded, data, atol=1e-12)
-
     def test_header_detected_without_save(self, tmp_path):
         path = tmp_path / "f.csv"
         path.write_text("x,y\n1.0,2.0\n3.0,4.0\n")
         assert np.array_equal(load_features(path), [[1.0, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize("header", ["", "x,y\n"], ids=["no-header", "header"])
+    def test_leading_blank_lines_skipped(self, tmp_path, header):
+        """The header, if any, is the first non-blank line."""
+        path = tmp_path / "f.csv"
+        path.write_text("\n \n" + header + "1.0,2.0\n3.0,4.0\n")
+        assert np.array_equal(load_features(path), [[1.0, 2.0], [3.0, 4.0]])
+        # Error lines still count every line of the file.
+        path.write_text("\n \n" + header + "1.0,2.0\n3.0,oops\n")
+        with pytest.raises(DataFileError) as err:
+            load_features(path)
+        assert err.value.line == (5 if header else 4)
 
     def test_malformed_cell_reports_line(self, tmp_path):
         path = tmp_path / "f.csv"
@@ -57,9 +62,10 @@ class TestCsv:
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "f.csv"
-        path.write_text("")
-        with pytest.raises(DataFileError):
-            load_features(path)
+        for text in ("", "\n  \n"):
+            path.write_text(text)
+            with pytest.raises(DataFileError, match="file is empty"):
+                load_features(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataFileError):

@@ -12,37 +12,37 @@ from msa.matching import Matching, greedy_match
 
 class TestGreedyMatch:
     def test_hand_traced_square(self):
-        """Smallest entry first: (1,1) at 0.1 blocks row 2 from col 1."""
+        """Smallest entry first: (0,0) at 0.1 blocks row 1 from col 0."""
         m = greedy_match([[0.1, 0.2], [0.11, 5.0]])
-        assert m.pairs == ((1, 1, 0.1), (2, 2, 5.0))
+        assert m.pairs == ((0, 0, 0.1), (1, 1, 5.0))
         assert m.policy == "one_to_one"
 
     def test_diagonal_preferred(self):
         m = greedy_match([[0.0, 1.0], [1.0, 0.0]])
-        assert m.pairs == ((1, 1, 0.0), (2, 2, 0.0))
+        assert m.pairs == ((0, 0, 0.0), (1, 1, 0.0))
 
     def test_tie_breaks_by_lowest_ids(self):
-        # all entries equal: (1,1) first, then (2,2)
+        # all entries equal: (0,0) first, then (1,1)
         m = greedy_match([[0.5, 0.5], [0.5, 0.5]])
-        assert m.pairs == ((1, 1, 0.5), (2, 2, 0.5))
+        assert m.pairs == ((0, 0, 0.5), (1, 1, 0.5))
 
     def test_surplus_sources_reuse_nearest_target(self):
         values = [[0.1], [0.2], [0.3]]
         m = greedy_match(values)
         assert m.policy == "surplus_sources_reuse_nearest_target"
-        assert m.pairs == ((1, 1, 0.1), (2, 1, 0.2), (3, 1, 0.3))
+        assert m.pairs == ((0, 0, 0.1), (1, 0, 0.2), (2, 0, 0.3))
 
     def test_surplus_source_picks_its_own_nearest(self):
         values = [[0.1, 0.9], [0.2, 0.8], [0.7, 0.25]]
         m = greedy_match(values)
-        # injective phase: (1,1) then (3,2); source 2 reuses its nearest, col 1
-        assert m.pairs == ((1, 1, 0.1), (2, 1, 0.2), (3, 2, 0.25))
+        # injective phase: (0,0) then (2,1); source 1 reuses its nearest, col 0
+        assert m.pairs == ((0, 0, 0.1), (1, 0, 0.2), (2, 1, 0.25))
 
     def test_surplus_targets_left_unmatched(self):
         values = [[0.3, 0.1, 0.6]]
         m = greedy_match(values)
         assert m.policy == "surplus_targets_unmatched"
-        assert m.pairs == ((1, 2, 0.1),)
+        assert m.pairs == ((0, 1, 0.1),)
 
     def test_every_source_matched_exactly_once(self, rng):
         for _ in range(30):
@@ -51,7 +51,7 @@ class TestGreedyMatch:
             values = rng.uniform(size=(ms, mt))
             m = greedy_match(values)
             sources = [p[0] for p in m.pairs]
-            assert sorted(sources) == list(range(1, ms + 1))
+            assert sorted(sources) == list(range(ms))
             targets = [p[1] for p in m.pairs]
             if ms <= mt:
                 assert len(set(targets)) == ms
@@ -59,8 +59,8 @@ class TestGreedyMatch:
     def test_pair_distances_match_matrix(self, rng):
         values = rng.uniform(size=(4, 5))
         m = greedy_match(values)
-        for sid, tid, dist in m.pairs:
-            assert dist == values[sid - 1, tid - 1]
+        for i, j, dist in m.pairs:
+            assert dist == values[i, j]
 
     def test_relabeling_consistency(self, rng):
         """Permuting rows permutes the matching accordingly."""
@@ -68,8 +68,8 @@ class TestGreedyMatch:
         base = {p[0]: p[1] for p in greedy_match(values).pairs}
         perm = rng.permutation(4)
         permuted = greedy_match(values[perm])
-        # row r of the permuted matrix is source perm[r] + 1 of the original
-        assert {int(perm[sid - 1]) + 1: tid for sid, tid, _ in permuted.pairs} == base
+        # row r of the permuted matrix is source perm[r] of the original
+        assert {int(perm[i]): j for i, j, _ in permuted.pairs} == base
 
     def test_empty_rejected(self):
         with pytest.raises(DegenerateDataError):
@@ -78,8 +78,8 @@ class TestGreedyMatch:
 
 class TestMatching:
     def test_pairs_frozen(self):
-        m = Matching(pairs=((1, 1, 0.5),), policy="one_to_one")
-        assert m.pairs == ((1, 1, 0.5),)
+        m = Matching(pairs=((0, 0, 0.5),), policy="one_to_one")
+        assert m.pairs == ((0, 0, 0.5),)
         with pytest.raises(AttributeError):
             m.policy = "other"
 
@@ -98,18 +98,18 @@ def test_greedy_match_properties(values):
     m_s, m_t = values.shape
     m = greedy_match(values)
 
-    assert [sid for sid, _, _ in m.pairs] == list(range(1, m_s + 1))
-    assert all(1 <= tid <= m_t for _, tid, _ in m.pairs)
-    assert all(dist == values[sid - 1, tid - 1] for sid, tid, dist in m.pairs)
-    targets = [tid for _, tid, _ in m.pairs]
+    assert [i for i, _, _ in m.pairs] == list(range(m_s))
+    assert all(0 <= j < m_t for _, j, _ in m.pairs)
+    assert all(dist == values[i, j] for i, j, dist in m.pairs)
+    targets = [j for _, j, _ in m.pairs]
     if m_s <= m_t:
         assert len(set(targets)) == m_s
     else:
-        assert set(targets) == set(range(1, m_t + 1))
+        assert set(targets) == set(range(m_t))
 
     entries = sorted((values[i, j], i, j) for i in range(m_s) for j in range(m_t))
     _, i0, j0 = entries[0]
-    assert m.pairs[i0][1] == j0 + 1
+    assert m.pairs[i0][1] == j0
 
     expected_policy = (
         "one_to_one" if m_s == m_t
@@ -119,7 +119,7 @@ def test_greedy_match_properties(values):
     assert m.policy == expected_policy
 
     # The sources left over once the smallest-first pass has used every
-    # target each take the nearest target of their own row, lowest id first.
+    # target each take the nearest target of their own row, lowest first.
     rows, cols = set(), set()
     for _, i, j in entries:
         if i not in rows and j not in cols:
@@ -127,4 +127,4 @@ def test_greedy_match_properties(values):
             cols.add(j)
     for i in set(range(m_s)) - rows:
         nearest = min(range(m_t), key=lambda j: (values[i, j], j))
-        assert m.pairs[i][1:] == (nearest + 1, values[i].min())
+        assert m.pairs[i][1:] == (nearest, values[i].min())

@@ -29,33 +29,36 @@ class TestSubspaceCollection:
         sub = Subspace(basis, np.zeros(4))
         coll = SubspaceCollection(
             subspaces=(sub, sub),
-            assignment=np.array([1, 2, 1, 2]),
+            assignment=np.array([0, 1, 0, 1]),
             coords=(np.zeros((2, 2)), np.zeros((2, 2))),
         )
         assert len(coll) == 2
-        assert coll.ids == (1, 2)
-        assert coll.subspace(2) is coll.subspaces[1]
+        assert coll.subspaces[1] is sub
+        assert not coll.assignment.flags.writeable
 
     def test_every_id_must_appear(self, rng):
         sub = Subspace(random_orthonormal(rng, 4, 2), np.zeros(4))
         with pytest.raises(DegenerateDataError):
             SubspaceCollection(
                 subspaces=(sub, sub),
-                assignment=np.array([1, 1, 1]),
+                assignment=np.array([0, 0, 0]),
                 coords=(np.zeros((3, 2)), np.zeros((0, 2))),
             )
 
     def test_assignment_bounds(self, rng):
         sub = Subspace(random_orthonormal(rng, 4, 2), np.zeros(4))
-        with pytest.raises(DegenerateDataError):
-            SubspaceCollection(
-                subspaces=(sub,), assignment=np.array([1, 2]), coords=(np.zeros((2, 2)),)
-            )
+        # A position past the end, and the -1 that fit_multi leaves on an
+        # unassigned sample.
+        for assignment in ([0, 1], [0, -1]):
+            with pytest.raises(DegenerateDataError):
+                SubspaceCollection(
+                    subspaces=(sub,), assignment=np.array(assignment), coords=(np.zeros((2, 2)),)
+                )
 
     def test_coords_shape_checked(self, rng):
         """Each coordinate block must be (samples assigned, subspace rank)."""
         sub = Subspace(random_orthonormal(rng, 4, 2), np.zeros(4))
-        assignment = np.array([1, 2, 1])
+        assignment = np.array([0, 1, 0])
         for coords in (
             (np.zeros((2, 2)), np.zeros((1, 1))),  # wrong rank
             (np.zeros((1, 2)), np.zeros((2, 2))),  # wrong counts
@@ -67,14 +70,29 @@ class TestSubspaceCollection:
 
 class TestFitMulti:
     def test_single_subspace_when_tau_is_one(self, rng):
-        """tau = 1.0 cannot produce outliers, so the fit is plain PCA."""
+        """tau = 1.0 gives plain PCA when fewer than k samples are orthogonal to it.
+
+        Only a sample with error exactly 1.0 is an outlier at tau = 1.0; on
+        Gaussian data there is none.  max_subspaces = 1 is what guarantees a
+        single subspace, see ``test_one_subspace_when_capped_at_one``.
+        """
         X = rng.normal(size=(40, 6))
         fit = fit_multi(X, k=3, tau=1.0)
         ref = fit_pca(X, 3)
         assert len(fit) == 1
-        assert np.array_equal(fit.subspace(1).basis, ref.basis)
-        assert np.array_equal(fit.subspace(1).mean, ref.mean)
-        assert np.all(fit.assignment == 1)
+        assert np.array_equal(fit.subspaces[0].basis, ref.basis)
+        assert np.array_equal(fit.subspaces[0].mean, ref.mean)
+        assert np.all(fit.assignment == 0)
+
+    def test_one_subspace_when_capped_at_one(self):
+        # Two samples lie orthogonal to the top direction (error exactly 1.0),
+        # so tau = 1.0 alone peels them off; the cap of one does not.
+        X = np.array([[3, 0], [-3, 0], [2, 0], [-2, 0], [0, 1], [0, -1]], dtype=float)
+        assert len(fit_multi(X, k=1, tau=1.0)) == 2
+        fit = fit_multi(X, k=1, tau=1.0, max_subspaces=1)
+        assert len(fit) == 1
+        assert np.array_equal(fit.subspaces[0].basis, fit_pca(X, 1).basis)
+        assert np.all(fit.assignment == 0)
 
     def test_default_cap_is_16(self, rng):
         # Uncapped, this Gaussian sample peels into about 50 subspaces.
@@ -94,7 +112,7 @@ class TestFitMulti:
             (2, 0.2, True, "max_subspaces"),
             (True, 0.2, 16, "k"),
             (2.0, 0.2, 16, "k"),
-            # True would run as tau = 1.0, the single-subspace setting.
+            # True would run as tau = 1.0, the loosest threshold.
             (2, True, 16, "tau"),
         ):
             with pytest.raises(ConfigError, match=f"^{named} must be"):
@@ -132,12 +150,9 @@ class TestFitMulti:
         tau = 0.25
         fit = fit_multi(X, k=2, tau=tau)
         assert fit.tau_escalations == 0
-        last = len(fit)
-        for sid in fit.ids:
-            if sid == last:
-                continue
-            members = X[fit.assignment == sid]
-            errs = reconstruction_errors(members, fit.subspace(sid))
+        for i, sub in enumerate(fit.subspaces[:-1]):
+            members = X[fit.assignment == i]
+            errs = reconstruction_errors(members, sub)
             assert np.all(errs < tau)
 
     def test_termination_and_coverage_randomized(self, rng):
@@ -154,7 +169,7 @@ class TestFitMulti:
             fit = fit_multi(X, k=k, tau=tau, max_subspaces=max_subspaces)
             assert len(fit) <= max_subspaces
             assert fit.assignment.shape == (n,)
-            assert set(np.unique(fit.assignment)) == set(fit.ids)
+            assert set(np.unique(fit.assignment)) == set(range(len(fit)))
             for sub in fit.subspaces:
                 assert 1 <= sub.rank <= k
 
@@ -167,10 +182,11 @@ class TestFitMulti:
         fit = fit_multi(X, k=1, tau=0.05, max_subspaces=3)
         assert len(fit) == 3
 
-    def test_ids_are_one_based_and_dense(self, rng):
+    def test_positions_are_dense(self, rng):
         X = rng.normal(size=(50, 5))
         fit = fit_multi(X, k=2, tau=0.3)
-        assert fit.ids == tuple(range(1, len(fit) + 1))
+        assert len(fit) > 1
+        assert np.array_equal(np.unique(fit.assignment), np.arange(len(fit)))
 
     def test_accepts_feature_matrix(self, rng):
         X = rng.normal(size=(30, 4))
@@ -205,7 +221,7 @@ def test_coords_are_projections_of_assigned_samples(seed, n, d, k_frac, tau, max
     X = rng.normal(size=(n, d))
     fit = fit_multi(X, k=k, tau=tau, max_subspaces=max_subspaces)
     assert len(fit.coords) == len(fit)
-    for sid, sub, block in zip(fit.ids, fit.subspaces, fit.coords):
-        members = X[fit.assignment == sid]
+    for i, (sub, block) in enumerate(zip(fit.subspaces, fit.coords)):
+        members = X[fit.assignment == i]
         assert block.shape == (members.shape[0], sub.rank)
         assert np.allclose(block, (members - sub.mean) @ sub.basis, rtol=0.0, atol=1e-12)

@@ -38,11 +38,21 @@ class TestAdaptationConfig:
             AdaptationConfig(k=2, tau_s=0.0)
         with pytest.raises(ConfigError, match="tau_t"):
             AdaptationConfig(k=2, tau_t=1.2)
-        # True would run as tau = 1.0, the single-subspace setting.
+        # True would run as tau = 1.0, the loosest threshold.
         with pytest.raises(ConfigError, match="tau_s"):
             AdaptationConfig(k=2, tau_s=True)
         with pytest.raises(ConfigError, match="tau_t"):
             AdaptationConfig(k=2, tau_t=True)
+
+
+    def test_sa_stores_one_subspace_settings(self):
+        config = AdaptationConfig(k=2, tau_s=0.3, tau_t=0.5, max_subspaces=16, method="sa")
+        assert (config.tau_s, config.tau_t, config.max_subspaces) == (1.0, 1.0, 1)
+        # The values given are still validated first.
+        with pytest.raises(ConfigError, match="tau_s"):
+            AdaptationConfig(k=2, tau_s=0.0, method="sa")
+        with pytest.raises(ConfigError, match="max_subspaces"):
+            AdaptationConfig(k=2, max_subspaces=0, method="sa")
 
 
 class TestAdapt:
@@ -84,6 +94,32 @@ class TestAdapt:
         assert np.array_equal(sa.target_features, forced.target_features)
         assert sa.report.num_src_subspaces == 1
         assert sa.report.num_tgt_subspaces == 1
+
+    def test_sa_fits_one_subspace_per_domain(self):
+        """Two samples orthogonal to the top direction do not split SA's fit."""
+        X = np.array([[3, 0], [-3, 0], [2, 0], [-2, 0], [0, 1], [0, -1]], dtype=float)
+        fm = FeatureMatrix(X, [0, 1, 0, 1, 0, 1])
+        report = adapt(fm, fm, AdaptationConfig(k=1, method="sa")).report
+        assert (report.num_src_subspaces, report.num_tgt_subspaces) == (1, 1)
+        config = report.to_dict()["config"]
+        assert (config["tau_s"], config["tau_t"], config["max_subspaces"]) == (1.0, 1.0, 1)
+
+    @pytest.mark.parametrize("config", [
+        AdaptationConfig(k=2, method="na"),
+        AdaptationConfig(k=2, method="sa"),
+        AdaptationConfig(k=2, tau_s=0.3, tau_t=0.3),
+        AdaptationConfig(k=2, tau_s=0.2, tau_t=0.5),
+    ], ids=["na", "sa", "tau-0.3", "tau-0.2-0.5"])
+    def test_target_row_permutation_permutes_predictions(self, config):
+        for seed in range(10):
+            src, tgt, _ = planted_benchmark(seed=seed)
+            perm = np.random.default_rng(seed).permutation(tgt.n_samples)
+            shuffled = FeatureMatrix(tgt.data[perm], tgt.labels[perm])
+            base = adapt(src, tgt, config)
+            moved = adapt(src, shuffled, config)
+            assert np.array_equal(moved.prediction.predictions, base.prediction.predictions[perm])
+            assert moved.report.accuracy == base.report.accuracy
+            assert moved.report.num_tgt_subspaces == base.report.num_tgt_subspaces
 
     def test_unlabeled_target_scores_nothing(self):
         src, tgt, _ = planted_benchmark(seed=0)
@@ -214,7 +250,7 @@ class TestRunBenchmark:
             for m in ("proposed", "na", "sa")
         }
         assert len(result.runs) == 2 * len(small_grid)
-        assert result.note == GRID_CAVEAT
+        assert result.to_dict()["note"] == GRID_CAVEAT
 
     def test_best_is_max_over_grid(self, dataset_dir, small_grid):
         result = run_benchmark(dataset_dir, "plane", grid=small_grid, normalize=False)
