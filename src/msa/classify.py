@@ -1,4 +1,15 @@
-"""Nearest-neighbour classification and accuracy reporting."""
+"""Nearest-neighbour classification and accuracy reporting.
+
+``nn_classify`` ranks training samples by the BLAS form of the squared
+distance: one matrix product ``G = test @ train.T``, turned in place into
+half of ``||b||^2 - 2 a.b`` (``||a||^2`` is constant along a row, so it does
+not move the row's argmin).  A row whose best entry beats its second best by
+more than twice a stated rounding bound has provably the same nearest
+sample as the direct form that ``scipy.spatial.distance.cdist`` computes;
+the other rows, ties and near ties, are recomputed with ``cdist``.  So the
+predictions are exactly those of ``cdist(test, train,
+"sqeuclidean").argmin(axis=1)``, lowest training index first on ties.
+"""
 
 from __future__ import annotations
 
@@ -26,7 +37,8 @@ class PredictionResult:
 def nn_classify(train: FeatureMatrix, test: FeatureMatrix) -> PredictionResult:
     """Label each test sample with its Euclidean nearest training label.
 
-    Distance ties are broken by the lowest training-sample index.
+    Distance ties are broken by the lowest training-sample index.  The
+    result equals ``cdist``'s argmin exactly; see the module docstring.
 
     Args:
         train: labelled training features.
@@ -45,8 +57,42 @@ def nn_classify(train: FeatureMatrix, test: FeatureMatrix) -> PredictionResult:
             f"training features have dimension {train.n_features}, "
             f"test features have dimension {test.n_features}"
         )
-    sq = cdist(test.data, train.data, "sqeuclidean")
-    nearest = sq.argmin(axis=1)
+    a, b = test.data, train.data
+    with np.errstate(over="ignore", invalid="ignore"):
+        half_sq_b = 0.5 * np.einsum("ij,ij->i", b, b)
+        g = a @ b.T  # the one (N_test, N_train) matrix held
+        np.subtract(half_sq_b, g, out=g)  # g = (||b||^2 - 2 a.b) / 2
+        rows = np.arange(g.shape[0])
+        nearest = g.argmin(axis=1)
+        best = g[rows, nearest]
+        g[rows, nearest] = np.inf
+        half_gap = g.min(axis=1) - best
+        # Rounding bound, in the units of ||a - b||^2.  Let u = eps/2,
+        # gamma_n = n u / (1 - n u) and, for test row i,
+        # S_i = ||a_i||^2 + max_j ||b_j||^2, so that ||a_i - b_j||^2 <= 2 S_i
+        # and ||b_j||^2 + 2 |a_i.b_j| <= 2 S_i.
+        # * This form: the dot product and ||b_j||^2 are each off by at most
+        #   gamma_d times their sums of absolute terms, in any summation
+        #   order, with or without FMA; the subtraction adds one rounding and
+        #   the halving is exact.  So 2 g is off by at most
+        #   E <= (gamma_d + u)(1 + gamma_d) 2 S_i, about (d + 1) eps S_i.
+        # * cdist sums d rounded squares of rounded differences, so it is off
+        #   by at most E' <= gamma_(d+2) ||a_i - b_j||^2, about (d + 2) eps S_i.
+        # When the gap between the two smallest entries of 2 g exceeds
+        # 2 (E + E'), every other column of cdist's row exceeds the entry at
+        # `nearest`, so cdist's argmin is `nearest`.  bound_i = 4 (d + 2) eps
+        # S_i exceeds twice the first-order E + E' = (2d + 3) eps S_i; the
+        # spare factor covers the 1/(1 - n u) terms and the roundings of the
+        # norms, the gap and the bound.  The `tiny` term covers gradual
+        # underflow, whose absolute error is at most eps * tiny per rounding.
+        # A non-finite gap or bound fails the test, so overflow falls back
+        # too.
+        eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
+        sq_a = np.einsum("ij,ij->i", a, a)
+        bound = 4 * (b.shape[1] + 2) * eps * (sq_a + 2 * half_sq_b.max() + tiny)
+        near_tie = ~(half_gap > bound)  # half_gap > bound_i: gap > 2 bound_i
+    if near_tie.any():
+        nearest[near_tie] = cdist(a[near_tie], b, "sqeuclidean").argmin(axis=1)
     return PredictionResult(predictions=train.labels[nearest])
 
 

@@ -2,9 +2,10 @@
 
 Two feature-file formats are supported and auto-detected:
 
-* CSV: one sample per row, d numeric columns, comma separated; empty lines
-  are skipped.  The first non-blank line is a header (and skipped) when it
-  contains any token that does not parse as a number.
+* CSV: one sample per row, d numeric columns, comma separated; blank lines
+  (empty or whitespace only) are skipped and text after ``#`` is a comment.
+  The first non-blank line is a header (and skipped) when it contains any
+  token that does not parse as a number.
 * Binary: magic bytes ``MSA1``, then N and d as little-endian uint32, then
   N * d little-endian float64 values in row-major order.
 
@@ -17,9 +18,11 @@ names the feature type (for example ``surf`` or ``decaf``).
 
 from __future__ import annotations
 
+import itertools
 import struct
 import warnings
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -46,41 +49,62 @@ def _load_csv(path: Path) -> np.ndarray:
                 break
         else:
             raise DataFileError("file is empty", path=path)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
-        if data.size == 0:
-            raise DataFileError("no data rows found", path=path)
-    except ValueError:
-        # Re-parse by hand to point at the offending line.
-        width = None
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if lineno <= skip or not line.strip():
-                    continue
-                tokens = line.split(",")
-                for token in tokens:
-                    try:
-                        float(token.strip())
-                    except ValueError:
-                        raise DataFileError(
-                            f"not a number: {token.strip()!r}",
-                            path=path,
-                            line=lineno,
-                        ) from None
-                if width is None:
-                    width = len(tokens)
-                elif len(tokens) != width:
-                    raise DataFileError(
-                        f"row has {len(tokens)} columns, expected {width}",
-                        path=path,
-                        line=lineno,
-                    )
-        raise DataFileError("file could not be parsed as CSV", path=path)
+    # np.loadtxt skips empty lines and '#' comments but rejects a line of
+    # whitespace, so blank lines are dropped before it sees them.
+    with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        lines = filter(str.strip, itertools.islice(fh, skip, None))
+        try:
+            data = np.loadtxt(lines, delimiter=",", ndmin=2)
+        except ValueError:
+            _raise_bad_line(path, skip)
+    if data.size == 0:
+        raise DataFileError("no data rows found", path=path)
     if not np.all(np.isfinite(data)):
         raise DataFileError("file contains non-finite values", path=path)
     return data
+
+
+def _raise_bad_line(path: Path, skip: int) -> NoReturn:
+    """Name the first bad cell or ragged row of a CSV np.loadtxt rejected.
+
+    Each line and cell is judged by np.loadtxt itself, so this only locates
+    the fault; it never reads data of its own.
+    """
+
+    def parses(text: str, size: int | None = None) -> np.ndarray | None:
+        try:
+            values = np.loadtxt([text], delimiter=",", ndmin=1)
+        except ValueError:
+            return None
+        return values if size is None or values.size == size else None
+
+    width = None
+    with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for lineno, line in enumerate(fh, start=1):
+            if lineno <= skip or not line.strip():
+                continue
+            row = parses(line)
+            if row is None:
+                cell = next(
+                    (c for c in line.split(",") if parses(c, size=1) is None),
+                    line,
+                )
+                raise DataFileError(
+                    f"not a number: {cell.strip()!r}", path=path, line=lineno
+                )
+            if row.size == 0:
+                continue  # a comment line
+            if width is None:
+                width = row.size
+            elif row.size != width:
+                raise DataFileError(
+                    f"row has {row.size} columns, expected {width}",
+                    path=path,
+                    line=lineno,
+                )
+    raise DataFileError("file could not be parsed as CSV", path=path)
 
 
 def _load_binary(path: Path) -> np.ndarray:

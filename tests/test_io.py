@@ -39,6 +39,25 @@ class TestCsv:
             load_features(path)
         assert err.value.line == (5 if header else 4)
 
+    def test_whitespace_only_lines_skipped(self, tmp_path):
+        """A whitespace-only line inside the data is blank, like an empty one."""
+        path = tmp_path / "f.csv"
+        # The same numbers, '#' comments included, with or without the line.
+        for text in ("1,2\n3,4\n\t\n", "1,2\n3,4 # x\n", "1,2\n# note\n3,4\n"):
+            path.write_text(text)
+            assert np.array_equal(load_features(path), [[1.0, 2.0], [3.0, 4.0]])
+            path.write_text(text.replace("\n", "\n \n", 1))
+            assert np.array_equal(load_features(path), [[1.0, 2.0], [3.0, 4.0]])
+        # A bad cell after such a line still names its own line.
+        for cell in ("oops", "1_000", "\u0661"):
+            path.write_text(f"1,2\n \n3,{cell}\n")
+            with pytest.raises(DataFileError, match="not a number") as err:
+                load_features(path)
+            assert err.value.line == 3
+        path.write_text("x,y\n \n")
+        with pytest.raises(DataFileError, match="no data rows"):
+            load_features(path)
+
     def test_malformed_cell_reports_line(self, tmp_path):
         path = tmp_path / "f.csv"
         path.write_text("1.0,2.0\n3.0,oops\n5.0,6.0\n")

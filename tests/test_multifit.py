@@ -1,11 +1,14 @@
 """Greedy decomposition of a dataset into a union of subspaces."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
+from msa import multifit
 from msa.exceptions import ConfigError, DegenerateDataError, DimensionMismatchError
 from msa.multifit import SubspaceCollection, fit_multi
 from msa.subspace import FeatureMatrix, Subspace, fit_pca, reconstruction_errors
@@ -225,3 +228,53 @@ def test_coords_are_projections_of_assigned_samples(seed, n, d, k_frac, tau, max
         members = X[fit.assignment == i]
         assert block.shape == (members.shape[0], sub.rank)
         assert np.allclose(block, (members - sub.mean) @ sub.basis, rtol=0.0, atol=1e-12)
+
+
+@st.composite
+def _fit_problem(draw):
+    """Data of three kinds (isotropic, badly scaled, few repeated points)
+    with settings in range, tau down to 1e-4 so that rounds escalate."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 60))
+    d = draw(st.integers(1, 9))
+    k = draw(st.integers(1, min(n - 1, d)))
+    tau = draw(st.one_of(st.floats(0.01, 1.0), st.floats(-4.0, 0.0).map(lambda e: 10.0**e)))
+    kind = draw(st.sampled_from(["isotropic", "scaled", "repeated"]))
+    if kind == "isotropic":
+        X = rng.normal(size=(n, d))
+    elif kind == "scaled":
+        X = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-2, 2, size=d)
+    else:
+        points = rng.integers(-2, 3, size=(draw(st.integers(1, 4)), d)).astype(float)
+        X = points[rng.integers(0, len(points), size=n)]
+    return X, k, tau, draw(st.integers(1, 8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=_fit_problem())
+def test_fit_multi_properties(problem):
+    """Termination, coverage, dense positions and the escalation bound.
+
+    Each round adds one subspace and fits at most two PCAs, so a run makes
+    at most 2 * len(fit) fit_pca calls.  Errors lie in [0, 1], so a round
+    stops doubling its threshold once it exceeds 1: at most e doublings,
+    where tau * 2**(e - 1) <= 1 < tau * 2**e.
+    """
+    X, k, tau, max_subspaces = problem
+    if np.all(X == X[0]):
+        with pytest.raises(DegenerateDataError):
+            fit_multi(X, k=k, tau=tau, max_subspaces=max_subspaces)
+        return
+    with mock.patch.object(multifit, "fit_pca", wraps=fit_pca) as counted:
+        fit = fit_multi(X, k=k, tau=tau, max_subspaces=max_subspaces)
+    m = len(fit)
+    assert 1 <= m <= max_subspaces
+    assert counted.call_count <= 2 * m
+    assert fit.assignment.shape == (X.shape[0],)
+    assert np.array_equal(np.unique(fit.assignment), np.arange(m))
+    assert all(1 <= sub.rank <= k for sub in fit.subspaces)
+    doublings, threshold = 0, tau
+    while threshold <= 1.0:
+        threshold *= 2.0
+        doublings += 1
+    assert 0 <= fit.tau_escalations <= m * doublings
