@@ -4,8 +4,9 @@ Two feature-file formats are supported and auto-detected:
 
 * CSV: one sample per row, d numeric columns, comma separated; blank lines
   (empty or whitespace only) are skipped and text after ``#`` is a comment.
-  The first non-blank line is a header (and skipped) when it contains any
-  token that does not parse as a number.
+  The first line that is neither blank nor comment-only is a header (and
+  skipped) when, with its comment removed, it contains any token that does
+  not parse as a number.
 * Binary: magic bytes ``MSA1``, then N and d as little-endian uint32, then
   N * d little-endian float64 values in row-major order.
 
@@ -41,11 +42,14 @@ def _detect_header(first_line: str) -> bool:
 
 
 def _load_csv(path: Path) -> np.ndarray:
-    # skip counts the leading blank lines, plus the header if there is one.
+    # skip counts the leading blank and comment lines, plus the header if
+    # there is one.  Each line is judged with its comment cut off, as
+    # np.loadtxt will read it.
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                skip = lineno if _detect_header(line) else lineno - 1
+            text = line.split("#", 1)[0]
+            if text.strip():
+                skip = lineno if _detect_header(text) else lineno - 1
                 break
         else:
             raise DataFileError("file is empty", path=path)

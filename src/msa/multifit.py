@@ -14,9 +14,9 @@ import numpy as np
 
 from .exceptions import ConfigError, DegenerateDataError, DimensionMismatchError
 from .subspace import (
+    FeatureMatrix,
     Subspace,
     _frozen_array,
-    _sample_array,
     fit_pca,
     reconstruction_errors,
 )
@@ -100,6 +100,19 @@ def _fittable(pool: np.ndarray) -> bool:
     return pool.shape[0] >= 2 and bool(np.any(pool != pool[0]))
 
 
+def _whole_pca(data: FeatureMatrix, k: int) -> Subspace:
+    """``fit_pca(data, k)``, computed once per (data object, k).
+
+    Every fit of a domain starts from this subspace, whatever its tau or
+    cap.  A FeatureMatrix is read-only and hashes by identity, so the memo
+    on it can only ever return a fit of this very data.
+    """
+    memo = data._pca_memo
+    if k not in memo:
+        memo[k] = fit_pca(data, k)
+    return memo[k]
+
+
 def fit_multi(data, k: int, tau: float, max_subspaces: int = 16) -> SubspaceCollection:
     """Decompose a dataset into a union of rank-<=k subspaces.
 
@@ -115,12 +128,15 @@ def fit_multi(data, k: int, tau: float, max_subspaces: int = 16) -> SubspaceColl
     that round only) until at least k samples qualify; ``tau_escalations``
     on the result counts these relaxations.
 
-    The result depends only on the data and the three settings, so a caller
-    may reuse it for the same data object; ``adapt``'s ``fit_cache`` keys
-    fits by (data object, k, tau, max_subspaces).
+    The first round's PCA depends only on the data and k, so it is kept on
+    the FeatureMatrix and shared by every fit of that object.  The result
+    depends only on the data and the three settings, so a caller may reuse
+    it for the same data object; ``adapt``'s ``fit_cache`` keys fits by
+    (data object, k, tau, max_subspaces).
 
     Args:
-        data: FeatureMatrix or (N, d) array with N >= 2.
+        data: FeatureMatrix or (N, d) array with N >= 2; an array is
+            wrapped in a new FeatureMatrix, so its first round is not shared.
         k: requested dimension of each subspace, 1 <= k <= d.
         tau: relative reconstruction-error threshold in (0, 1]; a sample with
             error below tau counts as an inlier of the current subspace.
@@ -134,7 +150,9 @@ def fit_multi(data, k: int, tau: float, max_subspaces: int = 16) -> SubspaceColl
         coordinates in the subspace it is assigned to.
     """
     _check_fit_settings(k, max_subspaces, tau=tau)
-    X = _sample_array(data)
+    if not isinstance(data, FeatureMatrix):
+        data = FeatureMatrix(data)
+    X = data.data
     n, d = X.shape
     if n < 2:
         raise DegenerateDataError(f"need at least 2 samples, got {n}")
@@ -146,10 +164,9 @@ def fit_multi(data, k: int, tau: float, max_subspaces: int = 16) -> SubspaceColl
     subspaces: list[Subspace] = []
     escalations = 0
 
+    pool, base = X, _whole_pca(data, min(k, n))
     while True:
         position = len(subspaces)
-        pool = X[remaining]
-        base = fit_pca(pool, min(k, pool.shape[0]))
         errors = reconstruction_errors(pool, base)
         outliers = errors >= tau
         n_out = int(np.count_nonzero(outliers))
@@ -196,6 +213,8 @@ def fit_multi(data, k: int, tau: float, max_subspaces: int = 16) -> SubspaceColl
             assignment[rest] = position
             break
         remaining = rest
+        pool = X[remaining]
+        base = fit_pca(pool, min(k, pool.shape[0]))
 
     return SubspaceCollection(
         subspaces=tuple(subspaces),

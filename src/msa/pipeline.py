@@ -44,17 +44,18 @@ class AdaptationConfig:
         k: subspace dimension handed to the decomposition of both domains.
         tau_s: source-domain inlier threshold in (0, 1].
         tau_t: target-domain inlier threshold in (0, 1].
-        method: "proposed", "na" (no adaptation) or "sa" (single subspace:
-            after validation, tau_s = tau_t = 1.0 and max_subspaces = 1 are
-            stored whatever was given).
+        method: "proposed", "na" (no adaptation, which fits nothing: after
+            validation, tau_s, tau_t and max_subspaces are stored as None)
+            or "sa" (single subspace: after validation, tau_s = tau_t = 1.0
+            and max_subspaces = 1 are stored whatever was given).
         max_subspaces: cap on subspaces per domain.
     """
 
     k: int
-    tau_s: float = 0.3
-    tau_t: float = 0.3
+    tau_s: float | None = 0.3
+    tau_t: float | None = 0.3
     method: str = "proposed"
-    max_subspaces: int = 16
+    max_subspaces: int | None = 16
 
     def __post_init__(self):
         _check_fit_settings(self.k, self.max_subspaces, tau_s=self.tau_s, tau_t=self.tau_t)
@@ -63,10 +64,11 @@ class AdaptationConfig:
             raise ConfigError(
                 f"method must be one of {METHODS}, got {self.method!r}"
             )
-        if self.method == "sa":
-            object.__setattr__(self, "tau_s", 1.0)
-            object.__setattr__(self, "tau_t", 1.0)
-            object.__setattr__(self, "max_subspaces", 1)
+        # SA fits one subspace per domain and NA fits none: store what runs.
+        fixed = {"sa": (1.0, 1.0, 1), "na": (None, None, None)}.get(self.method)
+        if fixed is not None:
+            for name, value in zip(("tau_s", "tau_t", "max_subspaces"), fixed):
+                object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)

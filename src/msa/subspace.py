@@ -9,7 +9,7 @@ centred data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,6 +38,9 @@ class FeatureMatrix:
 
     data: np.ndarray
     labels: np.ndarray | None = None
+    # fit_pca of all of ``data`` by requested k, filled by ``fit_multi``.
+    # The data is read-only, so an entry never goes stale.
+    _pca_memo: dict[int, Subspace] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         data = np.array(self.data, dtype=np.float64, order="C")

@@ -65,6 +65,13 @@ class TestAdaptCommand:
             )
         )
 
+    def test_na_report_records_no_fit_settings(self, pair_files, tmp_path, capsys):
+        out_path = tmp_path / "report.json"
+        argv = _adapt_argv(pair_files, "--method", "na", "--tau-s", "0.5", "--out", str(out_path))
+        assert main(argv) == 0
+        config = json.loads(out_path.read_text())["config"]
+        assert (config["tau_s"], config["tau_t"], config["max_subspaces"]) == (None, None, None)
+
     def test_unscored_without_target_labels(self, pair_files, capsys):
         argv = [
             "adapt",
@@ -160,6 +167,9 @@ class TestBenchmarkCommand:
         # The SA entry gives no thresholds; the runs record the ones it ran.
         sa = [r["config"] for r in payload["runs"] if r["config"]["method"] == "sa"]
         assert [(c["tau_s"], c["tau_t"], c["max_subspaces"]) for c in sa] == [(1.0, 1.0, 1)] * 2
+        # NA fits nothing and records no fit settings.
+        na = [r["config"] for r in payload["runs"] if r["config"]["method"] == "na"]
+        assert [(c["tau_s"], c["tau_t"], c["max_subspaces"]) for c in na] == [(None, None, None)] * 2
 
     def test_unwritable_out_exits_2(self, dataset_dir, grid_file, tmp_path, capsys):
         out_path = tmp_path / "absent" / "bench.json"

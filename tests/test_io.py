@@ -58,6 +58,18 @@ class TestCsv:
         with pytest.raises(DataFileError, match="no data rows"):
             load_features(path)
 
+    def test_commented_first_data_row_kept(self, tmp_path):
+        """A comment on the first row does not make it a header."""
+        path = tmp_path / "f.csv"
+        path.write_text("1,2 # first\n3,4\n")
+        assert np.array_equal(load_features(path), [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_header_after_comment_line(self, tmp_path):
+        """The header is the first line that is not blank or comment-only."""
+        path = tmp_path / "f.csv"
+        path.write_text("# note\nx,y\n1,2\n")
+        assert np.array_equal(load_features(path), [[1.0, 2.0]])
+
     def test_malformed_cell_reports_line(self, tmp_path):
         path = tmp_path / "f.csv"
         path.write_text("1.0,2.0\n3.0,oops\n5.0,6.0\n")

@@ -278,3 +278,46 @@ def test_fit_multi_properties(problem):
         threshold *= 2.0
         doublings += 1
     assert 0 <= fit.tau_escalations <= m * doublings
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem=_fit_problem(), other_tau=st.floats(0.01, 1.0))
+def test_memoized_first_round_is_bit_identical(problem, other_tau):
+    """A FeatureMatrix whose first-round PCA is already memoized fits
+    exactly as a fresh array does, bit for bit, and the memo holds the very
+    read-only subspace fit_pca returned on the whole domain."""
+    X, k, tau, max_subspaces = problem
+    if np.all(X == X[0]):
+        return
+    fm = FeatureMatrix(X)
+    returned = []
+
+    def recording_fit_pca(data, rank):
+        returned.append((data, fit_pca(data, rank)))
+        return returned[-1][1]
+
+    with mock.patch.object(multifit, "fit_pca", side_effect=recording_fit_pca):
+        fit_multi(fm, k=k, tau=other_tau, max_subspaces=max_subspaces)
+        first_calls = len(returned)
+        warm = fit_multi(fm, k=k, tau=tau, max_subspaces=max_subspaces)
+    whole_k = min(k, X.shape[0])
+    assert returned[0][0] is fm
+    memoized = fm._pca_memo[whole_k]
+    assert memoized is returned[0][1]
+    assert not memoized.basis.flags.writeable and not memoized.mean.flags.writeable
+    # The second fit reads the memo: none of its fits is of the whole domain.
+    assert all(data is not fm for data, _ in returned[first_calls:])
+    # The memoized fit is the one the first round made on a copy of the rows.
+    old_round0 = fit_pca(X[np.arange(X.shape[0])], whole_k)
+    assert np.array_equal(memoized.basis, old_round0.basis)
+    assert np.array_equal(memoized.mean, old_round0.mean)
+
+    cold = fit_multi(X.copy(), k=k, tau=tau, max_subspaces=max_subspaces)
+    assert len(warm) == len(cold)
+    assert np.array_equal(warm.assignment, cold.assignment)
+    assert warm.tau_escalations == cold.tau_escalations
+    for a, b in zip(warm.subspaces, cold.subspaces):
+        assert np.array_equal(a.basis, b.basis)
+        assert np.array_equal(a.mean, b.mean)
+    for a, b in zip(warm.coords, cold.coords):
+        assert np.array_equal(a, b)

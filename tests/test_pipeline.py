@@ -1,8 +1,11 @@
 """End-to-end pipeline behaviour and the benchmark harness."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from msa import multifit
 from msa.exceptions import ConfigError
 from msa.io import save_features_csv, save_labels
 from msa.pipeline import (
@@ -14,7 +17,7 @@ from msa.pipeline import (
     run_benchmark,
     zscore,
 )
-from msa.subspace import FeatureMatrix
+from msa.subspace import FeatureMatrix, fit_pca
 from msa.synthetic import planted_benchmark
 
 
@@ -53,6 +56,17 @@ class TestAdaptationConfig:
             AdaptationConfig(k=2, tau_s=0.0, method="sa")
         with pytest.raises(ConfigError, match="max_subspaces"):
             AdaptationConfig(k=2, max_subspaces=0, method="sa")
+
+    def test_na_stores_no_fit_settings(self):
+        """NA fits nothing, so it records no thresholds and no cap."""
+        config = AdaptationConfig(k=1, method="na")
+        assert (config.tau_s, config.tau_t, config.max_subspaces) == (None, None, None)
+        assert AdaptationConfig(k=1, tau_s=0.5, max_subspaces=3, method="NA") == config
+        # The values given are still validated first.
+        with pytest.raises(ConfigError, match="tau_t"):
+            AdaptationConfig(k=1, tau_t=0.0, method="na")
+        with pytest.raises(ConfigError, match="max_subspaces"):
+            AdaptationConfig(k=1, max_subspaces=0, method="na")
 
 
 class TestAdapt:
@@ -286,6 +300,33 @@ class TestRunBenchmark:
             (r.source, r.target, r.config.method): r.accuracy for r in result.best
         }
         assert acc[("alpha", "beta", "proposed")] > acc[("alpha", "beta", "na")] + 15.0
+
+    def test_one_whole_domain_fit_per_domain_and_k(self, tmp_path):
+        """Every fit of a domain at one k shares one SVD of the whole domain,
+        across taus, caps, methods and pairs."""
+        domains = {
+            "alpha": planted_benchmark(seed=0)[0],
+            "beta": planted_benchmark(seed=0)[1],
+            "gamma": planted_benchmark(seed=1)[0],
+        }
+        for name, fm in domains.items():
+            save_features_csv(tmp_path / f"{name}_plane.csv", fm.data)
+            save_labels(tmp_path / f"{name}_plane.labels", fm.labels)
+        grid = [AdaptationConfig(k=1, method="na"), AdaptationConfig(k=2, method="sa")]
+        grid += [
+            AdaptationConfig(k=2, tau_s=ts, tau_t=tt)
+            for ts in (0.3, 0.5) for tt in (0.3, 0.5)
+        ]
+        with mock.patch.object(multifit, "fit_pca", wraps=fit_pca) as counted:
+            result = run_benchmark(tmp_path, "plane", grid=grid, normalize=False)
+        assert len(result.runs) == 6 * len(grid)
+        whole = [c.args for c in counted.call_args_list if isinstance(c.args[0], FeatureMatrix)]
+        assert len({(id(fm), k) for fm, k in whole}) == len(whole) == len(domains)
+        assert all(k == 2 for _, k in whole)
+        # Every other fit is a refit or a later round, on fewer rows.
+        parts = [c.args[0] for c in counted.call_args_list if not isinstance(c.args[0], FeatureMatrix)]
+        smallest = min(fm.n_samples for fm in domains.values())
+        assert parts and all(part.shape[0] < smallest for part in parts)
 
     def test_table_renders(self, dataset_dir, small_grid):
         result = run_benchmark(dataset_dir, "plane", grid=small_grid, normalize=False)
