@@ -33,13 +33,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_adapt.add_argument("--tgt", required=True, help="target feature file")
     p_adapt.add_argument("--tgt-labels", help="target label file, enables scoring")
     p_adapt.add_argument("--k", type=int, required=True, help="subspace dimension")
-    p_adapt.add_argument("--tau-s", type=float, default=0.3, help="source threshold")
-    p_adapt.add_argument("--tau-t", type=float, default=0.3, help="target threshold")
+    defaults = pipeline.AdaptationConfig
+    p_adapt.add_argument("--tau-s", type=float, default=defaults.tau_s, help="source threshold")
+    p_adapt.add_argument("--tau-t", type=float, default=defaults.tau_t, help="target threshold")
     p_adapt.add_argument(
-        "--method", default="proposed", help="proposed, na or sa (default: proposed)"
+        "--method", default=defaults.method, help="proposed, na or sa (default: %(default)s)"
     )
     p_adapt.add_argument(
-        "--max-subspaces", type=int, default=16, help="cap on subspaces per domain"
+        "--max-subspaces", type=int, default=defaults.max_subspaces,
+        help="cap on subspaces per domain",
     )
     p_adapt.add_argument(
         "--zscore", choices=("on", "off"), default="off",

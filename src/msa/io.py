@@ -11,6 +11,7 @@ Two feature-file formats are supported and auto-detected:
   N * d little-endian float64 values in row-major order.
 
 A label file holds one integer per line, aligned with the feature rows.
+Text files are read as UTF-8; a leading byte-order mark is skipped.
 
 A dataset directory holds one feature file and one label file per domain,
 named ``<domain>_<kind>.<ext>`` and ``<domain>_<kind>.labels`` where kind
@@ -45,7 +46,7 @@ def _load_csv(path: Path) -> np.ndarray:
     # skip counts the leading blank and comment lines, plus the header if
     # there is one.  Each line is judged with its comment cut off, as
     # np.loadtxt will read it.
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0]
             if text.strip():
@@ -55,7 +56,7 @@ def _load_csv(path: Path) -> np.ndarray:
             raise DataFileError("file is empty", path=path)
     # np.loadtxt skips empty lines and '#' comments but rejects a line of
     # whitespace, so blank lines are dropped before it sees them.
-    with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
+    with open(path, "r", encoding="utf-8-sig") as fh, warnings.catch_warnings():
         warnings.simplefilter("ignore")
         lines = filter(str.strip, itertools.islice(fh, skip, None))
         try:
@@ -84,7 +85,7 @@ def _raise_bad_line(path: Path, skip: int) -> NoReturn:
         return values if size is None or values.size == size else None
 
     width = None
-    with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
+    with open(path, "r", encoding="utf-8-sig") as fh, warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for lineno, line in enumerate(fh, start=1):
             if lineno <= skip or not line.strip():
@@ -165,7 +166,7 @@ def load_labels(path) -> np.ndarray:
     if not path.is_file():
         raise DataFileError("no such file", path=path)
     labels = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text:

@@ -1,14 +1,16 @@
 """Greedy decomposition of a dataset into a union of low-rank subspaces.
 
 The fitting loop peels one subspace at a time: fit a rank-k PCA to the
-current pool, keep the samples it reconstructs well, refit on those, and
-recurse on the rest.  The last subspace absorbs whatever remains, so every
-sample ends up assigned to exactly one subspace.
+current pool, refit on the samples it reconstructs well, keep those the
+refit reconstructs well, and recurse on the rest.  A round keeps a rest too
+small for another fit, and the first round that keeps its whole pool is the
+last, so every sample ends up assigned to exactly one subspace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -22,19 +24,19 @@ from .subspace import (
 )
 
 
-def _check_fit_settings(k, max_subspaces, **taus) -> None:
+def _check_fit_settings(**settings) -> None:
     """Raise ConfigError unless the decomposition settings are in range.
 
-    k and max_subspaces must be integers >= 1, and each keyword tau, named
-    as in the caller's config, must be a number in (0, 1].  A bool is
-    neither: True would otherwise run as k = 1 or as tau = 1.0.
+    ``k`` and ``max_subspaces`` must be integers >= 1; any other keyword,
+    named as in the caller's config, is a tau: a real number in (0, 1].  A
+    bool is neither: True would otherwise run as k = 1 or as tau = 1.0.
     """
-    for name, value in (("k", k), ("max_subspaces", max_subspaces)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-            raise ConfigError(f"{name} must be a positive integer, got {value!r}")
-    for name, tau in taus.items():
-        if isinstance(tau, bool) or not 0.0 < tau <= 1.0:
-            raise ConfigError(f"{name} must be a number in (0, 1], got {tau!r}")
+    for name, value in settings.items():
+        if name in ("k", "max_subspaces"):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+        elif isinstance(value, bool) or not isinstance(value, Real) or not 0.0 < value <= 1.0:
+            raise ConfigError(f"{name} must be a number in (0, 1], got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,17 +118,18 @@ def _whole_pca(data: FeatureMatrix, k: int) -> Subspace:
 def fit_multi(data, k: int, tau: float, max_subspaces: int = 16) -> SubspaceCollection:
     """Decompose a dataset into a union of rank-<=k subspaces.
 
-    Each round fits a rank-k PCA to the remaining pool and computes every
-    pool sample's relative reconstruction error.  If fewer than k samples
-    have error >= tau, or the would-be remainder cannot support another fit,
-    the round's subspace (fitted on the whole pool) becomes the final one and
-    absorbs every remaining sample.  Otherwise the subspace is refitted on
-    the samples with error < tau, the pool samples the refit reconstructs
-    within tau are assigned to it, and the loop recurses on the rest.
+    Each round fits a rank-k PCA to the remaining pool and scores every pool
+    sample by its relative reconstruction error.  The round continues the
+    peel only if fewer than max_subspaces - 1 subspaces exist and at least k
+    samples, two of them distinct, score >= tau.  It then refits on the
+    samples below tau (if two of them are distinct) and keeps the samples the
+    refit puts below tau; if the rest holds no two distinct samples, the
+    round keeps it too, so it joins the refit subspace.  Any other round
+    keeps its whole pool, and the first round to keep its whole pool is last.
 
-    A round whose threshold admits no inlier relaxes tau (doubling it, for
-    that round only) until at least k samples qualify; ``tau_escalations``
-    on the result counts these relaxations.
+    tau is relaxed for one round by doubling: before the refit until k
+    samples fall below it, if none does, and after it until one does.
+    ``tau_escalations`` on the result counts the doublings.
 
     The first round's PCA depends only on the data and k, so it is kept on
     the FeatureMatrix and shared by every fit of that object.  The result
@@ -149,7 +152,7 @@ def fit_multi(data, k: int, tau: float, max_subspaces: int = 16) -> SubspaceColl
         SubspaceCollection over the input samples, with every sample's
         coordinates in the subspace it is assigned to.
     """
-    _check_fit_settings(k, max_subspaces, tau=tau)
+    _check_fit_settings(k=k, max_subspaces=max_subspaces, tau=tau)
     if not isinstance(data, FeatureMatrix):
         data = FeatureMatrix(data)
     X = data.data
@@ -164,56 +167,40 @@ def fit_multi(data, k: int, tau: float, max_subspaces: int = 16) -> SubspaceColl
     subspaces: list[Subspace] = []
     escalations = 0
 
-    pool, base = X, _whole_pca(data, min(k, n))
-    while True:
-        position = len(subspaces)
-        errors = reconstruction_errors(pool, base)
-        outliers = errors >= tau
-        n_out = int(np.count_nonzero(outliers))
-
-        final = (
-            position == max_subspaces - 1
-            or n_out < k
-            or not _fittable(pool[outliers])
-        )
-        if final:
-            subspaces.append(base)
-            assignment[remaining] = position
-            break
-
-        tau_eff = tau
-        inliers = ~outliers
-        if not inliers.any():
-            # All errors sit at or above tau; relax the threshold until the
-            # round has enough inliers to refit on.
-            while int(np.count_nonzero(errors < tau_eff)) < k:
-                tau_eff *= 2.0
-                escalations += 1
-            inliers = errors < tau_eff
-
-        refit_pool = pool[inliers]
-        if _fittable(refit_pool):
-            base = fit_pca(refit_pool, min(k, refit_pool.shape[0]))
-            errors = reconstruction_errors(pool, base)
-
-        keep = errors < tau_eff
-        while not keep.any():
+    def relax(errors: np.ndarray, tau_eff: float, need: int) -> float:
+        """Double tau_eff until at least ``need`` errors fall below it."""
+        nonlocal escalations
+        while np.count_nonzero(errors < tau_eff) < need:
             tau_eff *= 2.0
             escalations += 1
-            keep = errors < tau_eff
+        return tau_eff
 
+    pool, base = X, _whole_pca(data, min(k, n))
+    while True:
+        errors = reconstruction_errors(pool, base)
+        outliers = errors >= tau
+        keep = np.ones(pool.shape[0], dtype=bool)
+        if (
+            len(subspaces) < max_subspaces - 1
+            and np.count_nonzero(outliers) >= k
+            and _fittable(pool[outliers])
+        ):
+            tau_eff = relax(errors, tau, k) if outliers.all() else tau
+            refit_pool = pool[errors < tau_eff]
+            if _fittable(refit_pool):
+                base = fit_pca(refit_pool, min(k, refit_pool.shape[0]))
+                errors = reconstruction_errors(pool, base)
+            keep = errors < relax(errors, tau_eff, 1)
+            rest_pool = pool[~keep]
+            if not _fittable(rest_pool):
+                keep[:] = True
+
+        assignment[remaining[keep]] = len(subspaces)
         subspaces.append(base)
-        assignment[remaining[keep]] = position
-        rest = remaining[~keep]
-        if rest.size == 0:
+        if keep.all():
             break
-        if not _fittable(X[rest]):
-            # Remainder too small or degenerate for another fit; fold it into
-            # the subspace just added, which thereby becomes the final one.
-            assignment[rest] = position
-            break
-        remaining = rest
-        pool = X[remaining]
+        remaining = remaining[~keep]
+        pool = rest_pool
         base = fit_pca(pool, min(k, pool.shape[0]))
 
     return SubspaceCollection(

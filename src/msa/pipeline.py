@@ -44,8 +44,9 @@ class AdaptationConfig:
         k: subspace dimension handed to the decomposition of both domains.
         tau_s: source-domain inlier threshold in (0, 1].
         tau_t: target-domain inlier threshold in (0, 1].
-        method: "proposed", "na" (no adaptation, which fits nothing: after
-            validation, tau_s, tau_t and max_subspaces are stored as None)
+        method: "proposed", "na" (no adaptation, which fits nothing: it
+            accepts None for tau_s, tau_t and max_subspaces, validates any
+            other value, then stores all three as None)
             or "sa" (single subspace: after validation, tau_s = tau_t = 1.0
             and max_subspaces = 1 are stored whatever was given).
         max_subspaces: cap on subspaces per domain.
@@ -58,16 +59,21 @@ class AdaptationConfig:
     max_subspaces: int | None = 16
 
     def __post_init__(self):
-        _check_fit_settings(self.k, self.max_subspaces, tau_s=self.tau_s, tau_t=self.tau_t)
         object.__setattr__(self, "method", str(self.method).lower())
         if self.method not in METHODS:
             raise ConfigError(
                 f"method must be one of {METHODS}, got {self.method!r}"
             )
+        names = ("tau_s", "tau_t", "max_subspaces")
+        given = {name: getattr(self, name) for name in names}
+        if self.method == "na":
+            # NA accepts the None it stores, so its --out record reads back.
+            given = {name: v for name, v in given.items() if v is not None}
+        _check_fit_settings(k=self.k, **given)
         # SA fits one subspace per domain and NA fits none: store what runs.
         fixed = {"sa": (1.0, 1.0, 1), "na": (None, None, None)}.get(self.method)
         if fixed is not None:
-            for name, value in zip(("tau_s", "tau_t", "max_subspaces"), fixed):
+            for name, value in zip(names, fixed):
                 object.__setattr__(self, name, value)
 
 

@@ -189,18 +189,11 @@ def fit_pca(data, k: int) -> Subspace:
     rank = int(np.count_nonzero(svals > tol))
     if rank == 0:
         raise DegenerateDataError("all samples are identical; no principal direction")
-    basis = vh[: min(k, rank)].T.copy()
-    _fix_column_signs(basis)
-    return Subspace(basis=basis, mean=mean)
-
-
-def _fix_column_signs(basis: np.ndarray) -> None:
-    """Flip columns in place so their first non-negligible entry is >= 0."""
-    for j in range(basis.shape[1]):
-        col = basis[:, j]
-        nonzero = np.flatnonzero(np.abs(col) > 1e-12)
-        if nonzero.size and col[nonzero[0]] < 0:
-            basis[:, j] = -col
+    basis = vh[: min(k, rank)].T
+    # A unit column always has an entry above 1e-12; the first one sets its
+    # sign.  Multiplying by +-1.0 is exact.
+    first = basis[np.argmax(np.abs(basis) > 1e-12, axis=0), np.arange(basis.shape[1])]
+    return Subspace(basis=basis * np.where(first < 0, -1.0, 1.0), mean=mean)
 
 
 def reconstruction_errors(data, subspace: Subspace) -> np.ndarray:

@@ -1,10 +1,12 @@
 """Command line interface, run in process."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from msa import AdaptationConfig
 from msa.cli import main
 from msa.io import save_features_csv, save_labels
 from msa.synthetic import planted_benchmark
@@ -64,6 +66,11 @@ class TestAdaptCommand:
                 == np.loadtxt(pair_files["tgt_labels"], dtype=int)
             )
         )
+
+    def test_defaults_are_the_config_defaults(self, pair_files, tmp_path, capsys):
+        out_path = tmp_path / "report.json"
+        assert main(_adapt_argv(pair_files, "--out", str(out_path))) == 0
+        assert json.loads(out_path.read_text())["config"] == asdict(AdaptationConfig(k=2))
 
     def test_na_report_records_no_fit_settings(self, pair_files, tmp_path, capsys):
         out_path = tmp_path / "report.json"
@@ -170,6 +177,22 @@ class TestBenchmarkCommand:
         # NA fits nothing and records no fit settings.
         na = [r["config"] for r in payload["runs"] if r["config"]["method"] == "na"]
         assert [(c["tau_s"], c["tau_t"], c["max_subspaces"]) for c in na] == [(None, None, None)] * 2
+
+    def test_out_configs_read_back_as_grid(self, dataset_dir, grid_file, tmp_path, capsys):
+        """Every config an --out file records, NA's None included, is a
+        valid --grid entry that runs as recorded."""
+        argv = [
+            "benchmark", "--dir", str(dataset_dir), "--features", "plane",
+            "--zscore", "off", "--out",
+        ]
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        assert main(argv + [str(first), "--grid", str(grid_file)]) == 0
+        configs = [r["config"] for r in json.loads(first.read_text())["runs"]]
+        recorded = tmp_path / "recorded.json"
+        recorded.write_text(json.dumps(configs))
+        assert main(argv + [str(second), "--grid", str(recorded)]) == 0
+        again = [r["config"] for r in json.loads(second.read_text())["runs"]]
+        assert again == configs + configs
 
     def test_unwritable_out_exits_2(self, dataset_dir, grid_file, tmp_path, capsys):
         out_path = tmp_path / "absent" / "bench.json"

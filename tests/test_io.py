@@ -70,6 +70,16 @@ class TestCsv:
         path.write_text("# note\nx,y\n1,2\n")
         assert np.array_equal(load_features(path), [[1.0, 2.0]])
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        """A UTF-8 BOM is not part of the first cell, so row 1 is data."""
+        path = tmp_path / "f.csv"
+        path.write_text("\ufeff1,2\n3,4\n", encoding="utf-8")
+        assert np.array_equal(load_features(path), [[1.0, 2.0], [3.0, 4.0]])
+        path.write_text("\ufeff1,2\n3,oops\n", encoding="utf-8")
+        with pytest.raises(DataFileError) as err:
+            load_features(path)
+        assert err.value.line == 2
+
     def test_malformed_cell_reports_line(self, tmp_path):
         path = tmp_path / "f.csv"
         path.write_text("1.0,2.0\n3.0,oops\n5.0,6.0\n")
@@ -136,6 +146,11 @@ class TestLabels:
         path = tmp_path / "y.labels"
         path.write_text("1\n\n2\n  \n3\n")
         assert np.array_equal(load_labels(path), [1, 2, 3])
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        path = tmp_path / "y.labels"
+        path.write_text("\ufeff1\n2\n", encoding="utf-8")
+        assert np.array_equal(load_labels(path), [1, 2])
 
     def test_non_integer_reports_line(self, tmp_path):
         path = tmp_path / "y.labels"

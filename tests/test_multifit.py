@@ -198,6 +198,40 @@ class TestFitMulti:
         assert len(a) == len(b)
         assert np.array_equal(a.assignment, b.assignment)
 
+    def test_round_that_keeps_its_whole_pool_is_last(self):
+        """A refit that reconstructs every pool sample ends the peel.
+
+        The second round's refit keeps all of its pool, so no rest is left.
+        """
+        X = np.array([
+            [-0.0, 5.5], [-0.5, 7.5], [-0.5, 14.5], [2.5, -8.0], [1.0, 8.5],
+            [1.0, -2.0], [0.0, 4.0], [0.0, 15.0], [2.5, -5.0], [-1.0, -9.5],
+        ])
+        fit = fit_multi(X, k=1, tau=0.01)
+        assert len(fit) == 2
+        assert fit.assignment.tolist() == [1, 1, 0, 0, 1, 0, 1, 0, 0, 1]
+        assert fit.tau_escalations == 0
+
+    def test_tau_relaxed_after_refit_keeps_a_sample(self):
+        """A refit may reconstruct no pool sample within tau.
+
+        The round then doubles tau until it keeps one, and every doubling is
+        counted in tau_escalations.
+        """
+        X = np.array([
+            [4.276691834859499, -7.265069962417256, 3.0615834092281413],
+            [3.2766918348594993, -8.265069962417256, 2.5615834092281413],
+            [5.776691834859499, -8.265069962417256, 0.5615834092281413],
+            [3.2766918348594993, -6.765069962417256, 2.5615834092281413],
+            [4.276691834859499, -6.765069962417256, 3.0615834092281413],
+            [0.0, 1.0, -1.5], [0.0, 0.0, 0.5], [-0.5, 0.5, -0.5],
+            [1.0, -0.0, -0.5], [-0.0, -0.0, -1.0],
+        ])
+        fit = fit_multi(X, k=1, tau=0.01)
+        assert len(fit) == 6
+        assert fit.assignment.tolist() == [5, 4, 3, 5, 1, 1, 2, 0, 1, 2]
+        assert fit.tau_escalations == 4
+
     def test_degenerate_pool_rejected(self):
         with pytest.raises(DegenerateDataError):
             fit_multi(np.ones((5, 3)), k=1, tau=0.5)

@@ -1,5 +1,6 @@
 """End-to-end pipeline behaviour and the benchmark harness."""
 
+from dataclasses import asdict
 from unittest import mock
 
 import numpy as np
@@ -46,7 +47,11 @@ class TestAdaptationConfig:
             AdaptationConfig(k=2, tau_s=True)
         with pytest.raises(ConfigError, match="tau_t"):
             AdaptationConfig(k=2, tau_t=True)
-
+        # Anything but a real number is named, not a bare TypeError.
+        with pytest.raises(ConfigError, match="tau_s"):
+            AdaptationConfig(k=2, tau_s=None)
+        with pytest.raises(ConfigError, match="tau_s"):
+            AdaptationConfig(k=2, tau_s="0.3")
 
     def test_sa_stores_one_subspace_settings(self):
         config = AdaptationConfig(k=2, tau_s=0.3, tau_t=0.5, max_subspaces=16, method="sa")
@@ -67,6 +72,15 @@ class TestAdaptationConfig:
             AdaptationConfig(k=1, tau_t=0.0, method="na")
         with pytest.raises(ConfigError, match="max_subspaces"):
             AdaptationConfig(k=1, max_subspaces=0, method="na")
+
+    def test_na_reads_back_its_stored_none(self):
+        """The None NA stores is accepted again, so its record reads back."""
+        config = AdaptationConfig(k=1, tau_s=None, tau_t=None, method="na", max_subspaces=None)
+        assert config == AdaptationConfig(**asdict(config))
+        # Only NA may leave the fit settings out.
+        for method in ("proposed", "sa"):
+            with pytest.raises(ConfigError, match="max_subspaces"):
+                AdaptationConfig(k=1, method=method, max_subspaces=None)
 
 
 class TestAdapt:

@@ -84,10 +84,18 @@ class TestFitPca:
 
     def test_sign_convention(self, rng):
         X = rng.normal(size=(25, 5))
-        sub = fit_pca(X, 3)
-        for col in sub.basis.T:
-            lead = col[np.abs(col) > 1e-12][0]
-            assert lead >= 0.0
+        # Constant leading features put entries at or near zero (within
+        # 1e-12, of either sign) at the top of every column, so a later
+        # entry sets each column's sign.
+        padded = np.hstack([np.full((25, 2), 3.0), X])
+        for data in (X, padded):
+            sub = fit_pca(data, 3)
+            _, _, vh = np.linalg.svd(data - data.mean(axis=0), full_matrices=False)
+            for col, direction in zip(sub.basis.T, vh):
+                lead = col[np.abs(col) > 1e-12][0]
+                assert lead >= 0.0
+                # The flip is exact: the SVD's direction or its negation.
+                assert np.array_equal(col, direction) or np.array_equal(col, -direction)
 
     def test_deterministic(self, rng):
         X = rng.normal(size=(20, 4))
