@@ -82,8 +82,8 @@ class AdaptationReport:
     """Summary of one pipeline run.
 
     ``accuracy`` is a percentage in [0, 100], or None when the target carried
-    no labels.  ``stages`` lists the pipeline stages that actually ran, in
-    order.  ``wall_time`` is in seconds.
+    no labels.  ``stage_seconds`` maps each pipeline stage that actually
+    ran, in order, to the seconds it took.  ``wall_time`` is in seconds.
     """
 
     source: str
@@ -93,7 +93,7 @@ class AdaptationReport:
     num_tgt_subspaces: int
     config: AdaptationConfig
     wall_time: float
-    stages: tuple[str, ...]
+    stage_seconds: dict[str, float]
 
     def to_dict(self) -> dict:
         return {
@@ -103,7 +103,7 @@ class AdaptationReport:
             "num_tgt_subspaces": self.num_tgt_subspaces,
             "config": asdict(self.config),
             "wall_time": self.wall_time,
-            "stages": list(self.stages),
+            "stage_seconds": dict(self.stage_seconds),
         }
 
 
@@ -155,12 +155,13 @@ def load_domain(feature_path, label_path=None, normalize: bool = False) -> Featu
     return FeatureMatrix(data, labels)
 
 
-def _run_stage(stages: list[str], name: str, fn, *args):
+def _run_stage(stage_seconds: dict[str, float], name: str, fn, *args):
+    start = time.perf_counter()
     try:
         result = fn(*args)
     except MSAError as exc:
         raise type(exc)(f"stage '{name}': {exc}") from exc
-    stages.append(name)
+    stage_seconds[name] = time.perf_counter() - start
     return result
 
 
@@ -198,7 +199,7 @@ def adapt(
             f"({source.n_features} vs {target.n_features})"
         )
     start = time.perf_counter()
-    stages: list[str] = []
+    stage_seconds: dict[str, float] = {}
 
     if config.method == "na":
         train, test = source, target
@@ -212,18 +213,18 @@ def adapt(
                 cache[key] = fit_multi(data, config.k, tau, config.max_subspaces)
             return cache[key]
 
-        src_fit = _run_stage(stages, "fit_source", fit_domain, source, config.tau_s)
-        tgt_fit = _run_stage(stages, "fit_target", fit_domain, target, config.tau_t)
-        distances = _run_stage(stages, "distance_matrix", distance_matrix, src_fit, tgt_fit)
-        matching = _run_stage(stages, "greedy_match", greedy_match, distances)
+        src_fit = _run_stage(stage_seconds, "fit_source", fit_domain, source, config.tau_s)
+        tgt_fit = _run_stage(stage_seconds, "fit_target", fit_domain, target, config.tau_t)
+        distances = _run_stage(stage_seconds, "distance_matrix", distance_matrix, src_fit, tgt_fit)
+        matching = _run_stage(stage_seconds, "greedy_match", greedy_match, distances)
         source_features, target_features = _run_stage(
-            stages, "align_project", build_features, src_fit, tgt_fit, matching,
+            stage_seconds, "align_project", build_features, src_fit, tgt_fit, matching,
         )
         train = FeatureMatrix(source_features, source.labels)
         test = FeatureMatrix(target_features)
         num_src, num_tgt = len(src_fit), len(tgt_fit)
 
-    prediction = _run_stage(stages, "classify", nn_classify, train, test)
+    prediction = _run_stage(stage_seconds, "classify", nn_classify, train, test)
     accuracy = None
     if target.labels is not None:
         accuracy = evaluate_accuracy(prediction.predictions, target.labels)
@@ -236,7 +237,7 @@ def adapt(
         num_tgt_subspaces=num_tgt,
         config=config,
         wall_time=time.perf_counter() - start,
-        stages=tuple(stages),
+        stage_seconds=stage_seconds,
     )
     return AdaptationResult(
         prediction=prediction,

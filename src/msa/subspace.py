@@ -156,11 +156,16 @@ def _centred(data, subspace: Subspace) -> np.ndarray:
 def fit_pca(data, k: int) -> Subspace:
     """Fit the rank-k principal subspace of mean-centred samples.
 
-    The basis holds the k principal directions of largest singular value of
-    the centred data.  If the centred data has rank rho < k, the basis has
-    only rho columns.  Column signs are fixed so that the first entry of
+    The basis holds the k principal directions of largest variance of the
+    centred data C, taken from whichever of its Gram matrices is smaller:
+    the top eigenvectors of C^T C (d x d) when N >= d; when N < d, the top
+    eigenvectors V of C C^T (N x N) give the directions as the orthonormal
+    C^T V (the kernel-PCA identity).  If the centred data has rank rho < k,
+    counted against the rounding of the Gram matrix, the basis has only rho
+    columns.  Column signs are fixed so that the first entry of
     non-negligible magnitude in each column is non-negative, which makes the
-    fit deterministic for a given input.
+    fit deterministic for a given input; scaling the data by a power of two
+    scales the mean alike and leaves the basis bit for bit the same.
 
     Args:
         data: FeatureMatrix or (N, d) array, N >= 2.
@@ -171,7 +176,7 @@ def fit_pca(data, k: int) -> Subspace:
 
     Raises:
         ConfigError: if k is out of range for the data shape.
-        DegenerateDataError: if all samples are identical (centred rank 0).
+        DegenerateDataError: if every sample equals the first.
     """
     X = _sample_array(data)
     n, d = X.shape
@@ -181,19 +186,76 @@ def fit_pca(data, k: int) -> Subspace:
         raise ConfigError(
             f"k must satisfy 1 <= k <= min(N, d) = {min(n, d)}, got {k}"
         )
-    mean = X.mean(axis=0)
-    centred = X - mean
-    # Economy SVD: rows of vh are the principal directions.
-    _, svals, vh = np.linalg.svd(centred, full_matrices=False)
-    tol = svals[0] * max(n, d) * np.finfo(np.float64).eps
-    rank = int(np.count_nonzero(svals > tol))
-    if rank == 0:
+    # Compare the rows, not the centred rank: the mean of identical rows
+    # need not round to their value, which leaves rounding noise to fit.
+    if not np.any(X != X[0]):
         raise DegenerateDataError("all samples are identical; no principal direction")
-    basis = vh[: min(k, rank)].T
+    # Centre in units of 2^e, so that neither the mean nor the centred data
+    # of finite samples can overflow.
+    e = _scale_exponent(X)
+    centred = X * 2.0**-e
+    mean = centred.mean(axis=0)
+    centred -= mean
+    basis = _principal_axes(centred, k)
     # A unit column always has an entry above 1e-12; the first one sets its
     # sign.  Multiplying by +-1.0 is exact.
     first = basis[np.argmax(np.abs(basis) > 1e-12, axis=0), np.arange(basis.shape[1])]
-    return Subspace(basis=basis * np.where(first < 0, -1.0, 1.0), mean=mean)
+    return Subspace(
+        basis=basis * np.where(first < 0, -1.0, 1.0), mean=np.ldexp(mean, e)
+    )
+
+
+def _scale_exponent(a: np.ndarray) -> int:
+    """The e for which a * 2^-e has its largest magnitude in [0.5, 1).
+
+    Multiplying by a power of two is exact wherever the result is normal, so
+    every fit is the same, bit for bit, for the data times any power of two.
+    e is capped at -1021 so that 2^-e stays finite; only data whose entries
+    are all subnormal reach the cap.
+    """
+    return max(int(np.frexp(max(a.max(), -a.min()))[1]), -1021)
+
+
+def _principal_axes(centred: np.ndarray, k: int) -> np.ndarray:
+    """The top min(k, rank) principal directions of centred data, as columns.
+
+    ``centred`` is an (N, d) array with an entry that is not zero; it is
+    overwritten.  The columns come in order of decreasing variance, with the
+    signs the decomposition gave them.
+    """
+    n, d = centred.shape
+    # With the largest magnitude in [0.5, 1), no Gram entry can overflow and
+    # trace(G) >= 1/4.
+    centred *= 2.0**-_scale_exponent(centred)
+    gram = centred.T @ centred if n >= d else centred @ centred.T
+    evals, evecs = np.linalg.eigh(gram)
+    # Rank tolerance, in eigenvalue units.  Let m be the length of the inner
+    # products that form the Gram matrix G (N for C^T C, d for C C^T), p its
+    # order, u = eps/2 and gamma_m = m u / (1 - m u).
+    # * Forming G: entry (i, j) is the inner product of c_i and c_j (columns
+    #   of C for C^T C, rows for C C^T), off by at most gamma_m |c_i|.|c_j|
+    #   <= gamma_m ||c_i|| ||c_j||, so ||dG||_2 <= ||dG||_F <= gamma_m
+    #   sum_i ||c_i||^2 = gamma_m trace(G), about (m / 2) eps trace(G).
+    # * eigh is backward stable: its eigenvalues are those of G + E with
+    #   ||E||_2 about p eps ||G||_2 <= p eps trace(G).
+    # By Weyl's inequality an eigenvalue that is zero in exact arithmetic
+    # reads at most about (m / 2 + p) eps trace(G) <= 1.5 max(N, d) eps
+    # trace(G).  The tolerance 2 (max(N, d) + 2) eps trace(G) exceeds that;
+    # the spare covers the 1/(1 - m u) terms, the roundings of the trace and
+    # gradual underflow, whose absolute error (at most tiny per rounding) is
+    # far below eps trace(G) >= eps / 4 after the scaling.  An eigenvalue
+    # at or below it is rounding, with no determined direction, and is not
+    # counted.  The largest eigenvalue is at least trace(G) / p, far above
+    # the tolerance, so the rank is at least 1.
+    tol = 2 * (max(n, d) + 2) * np.finfo(np.float64).eps * np.trace(gram)
+    rank = int(np.count_nonzero(evals > tol))
+    top = evecs[:, ::-1][:, : min(k, rank)]  # eigh sorts ascending
+    if n >= d:
+        return top
+    # C^T V holds the principal directions scaled by the square roots of
+    # their eigenvalues; its left singular vectors are those directions,
+    # orthonormal to working precision.
+    return np.linalg.svd(centred.T @ top, full_matrices=False)[0]
 
 
 def reconstruction_errors(data, subspace: Subspace) -> np.ndarray:

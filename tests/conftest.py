@@ -21,6 +21,31 @@ def total_reconstruction_error(data, subspace: Subspace) -> float:
     return float(np.sum(residual * residual))
 
 
+# Frobenius tolerance on ||B B^T - R R^T|| between a fit_pca basis B and the
+# SVD reference R, pinned for the tests' inputs: N, d <= 40, centred top k
+# singular values in [1, 4] and the rest in [0, 0.1] (the sign-convention
+# inputs have gaps at least as wide, relative to their trace).  The Gram
+# matrix and its eigensolver move the spectrum by at most
+# 2 (max(N, d) + 2) eps trace(G) <= 84 eps (16 k + 0.01 (p - k)) < 1.2e-11,
+# and the gap at k is at least 1 - 0.01, so by Davis and Kahan every
+# principal angle is below 1.3e-11 and the projectors differ by less than
+# sqrt(2 k) 1.3e-11 < 1.2e-10.  The SVD reference is accurate to a few eps.
+PROJECTOR_TOL = 1e-9
+
+
+def svd_pca_basis(X, k):
+    """Reference for fit_pca's span: the economy SVD of the centred data.
+
+    The rank counts the singular values above sigma_1 max(N, d) eps, as
+    ``np.linalg.matrix_rank`` does; the result is the top min(k, rank) right
+    singular vectors as columns, with the signs the SVD gave them.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    _, svals, vh = np.linalg.svd(X - X.mean(axis=0), full_matrices=False)
+    rank = int(np.count_nonzero(svals > svals[0] * max(X.shape) * np.finfo(np.float64).eps))
+    return vh[: min(k, rank)].T
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(2024)

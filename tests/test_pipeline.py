@@ -100,12 +100,22 @@ class TestAdapt:
         assert np.array_equal(a.source_features, b.source_features)
         assert np.array_equal(a.target_features, b.target_features)
         assert a.report.accuracy == b.report.accuracy
-        assert a.report.stages == b.report.stages
+        assert list(a.report.stage_seconds) == list(b.report.stage_seconds)
+
+    def test_stage_seconds_time_each_stage_in_order(self):
+        src, tgt, _ = planted_benchmark(seed=0)
+        report = adapt(src, tgt, AdaptationConfig(k=2)).report
+        assert tuple(report.stage_seconds) == (
+            "fit_source", "fit_target", "distance_matrix", "greedy_match",
+            "align_project", "classify",
+        )
+        assert all(s >= 0.0 for s in report.stage_seconds.values())
+        assert sum(report.stage_seconds.values()) <= report.wall_time
 
     def test_na_path_skips_all_fitting(self):
         src, tgt, _ = planted_benchmark(seed=0)
         result = adapt(src, tgt, AdaptationConfig(k=2, method="na"))
-        assert result.report.stages == ("classify",)
+        assert tuple(result.report.stage_seconds) == ("classify",)
         assert result.report.num_src_subspaces == 0
         assert result.report.num_tgt_subspaces == 0
         assert np.array_equal(result.source_features, src.data)
@@ -216,7 +226,7 @@ class TestAdapt:
             "k": 2, "tau_s": 0.3, "tau_t": 0.3, "method": "proposed", "max_subspaces": 16,
         }
         assert payload["accuracy"] == report.accuracy
-        assert payload["stages"][-1] == "classify"
+        assert list(payload["stage_seconds"])[-1] == "classify"
 
 
 class TestZscore:
@@ -316,7 +326,7 @@ class TestRunBenchmark:
         assert acc[("alpha", "beta", "proposed")] > acc[("alpha", "beta", "na")] + 15.0
 
     def test_one_whole_domain_fit_per_domain_and_k(self, tmp_path):
-        """Every fit of a domain at one k shares one SVD of the whole domain,
+        """Every fit of a domain at one k shares one PCA of the whole domain,
         across taus, caps, methods and pairs."""
         domains = {
             "alpha": planted_benchmark(seed=0)[0],

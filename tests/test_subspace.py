@@ -1,12 +1,27 @@
 """Subspace fitting, projection and reconstruction error."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msa.exceptions import ConfigError, DegenerateDataError, DimensionMismatchError
-from msa.subspace import FeatureMatrix, Subspace, fit_pca, reconstruction_errors
+from msa.subspace import (
+    FeatureMatrix,
+    Subspace,
+    _principal_axes,
+    fit_pca,
+    reconstruction_errors,
+)
 
-from conftest import random_orthonormal, total_reconstruction_error
+from conftest import (
+    PROJECTOR_TOL,
+    random_orthonormal,
+    svd_pca_basis,
+    total_reconstruction_error,
+)
 
 
 class TestFeatureMatrix:
@@ -86,16 +101,21 @@ class TestFitPca:
         X = rng.normal(size=(25, 5))
         # Constant leading features put entries at or near zero (within
         # 1e-12, of either sign) at the top of every column, so a later
-        # entry sets each column's sign.
+        # entry sets each column's sign.  The first six rows of ``padded``
+        # are wide data, which take the other Gram matrix.
         padded = np.hstack([np.full((25, 2), 3.0), X])
-        for data in (X, padded):
+        for data in (X, padded, padded[:6]):
             sub = fit_pca(data, 3)
-            _, _, vh = np.linalg.svd(data - data.mean(axis=0), full_matrices=False)
-            for col, direction in zip(sub.basis.T, vh):
+            # The decomposition's own columns, before the flip; the scaling
+            # inside fit_pca is by a power of two, so it changes no bit.
+            raw = _principal_axes(data - data.mean(axis=0), 3)
+            for col, direction in zip(sub.basis.T, raw.T):
                 lead = col[np.abs(col) > 1e-12][0]
                 assert lead >= 0.0
-                # The flip is exact: the SVD's direction or its negation.
+                # The flip is exact: the direction or its negation.
                 assert np.array_equal(col, direction) or np.array_equal(col, -direction)
+            ref = svd_pca_basis(data, 3)
+            assert np.linalg.norm(sub.basis @ sub.basis.T - ref @ ref.T) <= PROJECTOR_TOL
 
     def test_deterministic(self, rng):
         X = rng.normal(size=(20, 4))
@@ -133,6 +153,14 @@ class TestFitPca:
         with pytest.raises(DegenerateDataError):
             fit_pca(np.ones((5, 3)), 1)
 
+    def test_identical_rows_degenerate_whatever_their_mean(self):
+        # The mean of n copies of v need not round to v (it does not for
+        # n = 7, v = 0.1), which would leave only rounding noise to fit.
+        for n in (2, 3, 5, 7, 10, 49):
+            for value in (0.1, 1 / 3, -7.3, 1e300, 5e-324):
+                with pytest.raises(DegenerateDataError):
+                    fit_pca(np.full((n, 4), value), 2)
+
     def test_non_finite_rejected(self, rng):
         for bad in (np.nan, np.inf):
             X = rng.normal(size=(6, 3))
@@ -160,6 +188,89 @@ class TestFitPca:
                 frame = random_orthonormal(rng, d, sub.rank)
                 other = Subspace(frame, mean)
                 assert best <= total_reconstruction_error(X, other) + 1e-9
+
+
+def _centred_frame(rng, n, p):
+    """n x p orthonormal columns, each orthogonal to the all-ones vector."""
+    a = rng.normal(size=(n, p))
+    return np.linalg.qr(a - a.mean(axis=0))[0]
+
+
+@st.composite
+def _gapped_problem(draw):
+    """Wide and tall data, offset, whose centred top k singular values lie
+    in [1, 4] and the rest in [0, 0.1]: the inputs PROJECTOR_TOL is for."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 40))
+    p = min(n - 1, d)
+    k = draw(st.integers(1, p))
+    svals = np.concatenate([rng.uniform(1.0, 4.0, k), rng.uniform(0.0, 0.1, p - k)])
+    X = (_centred_frame(rng, n, p) * svals) @ random_orthonormal(rng, d, p).T
+    return X + rng.normal(size=d) * draw(st.sampled_from([0.0, 1.0, 30.0])), k
+
+
+@st.composite
+def _rank_deficient_problem(draw):
+    """Offset data of centred rank rho < k: a rank-rho product, or rho + 1
+    affinely independent points, each repeated.  Directions span scales
+    1e-3 to 4, so that a rank tolerance too loose by far drops some."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(2, 40))
+    rho = draw(st.integers(1, min(n, d) - 1))
+    k = draw(st.integers(rho + 1, min(n, d)))
+    frame = random_orthonormal(rng, d, rho) * 10.0 ** rng.uniform(-3.0, 0.6, rho)
+    if draw(st.booleans()):
+        X = _centred_frame(rng, n, rho) @ frame.T
+    else:
+        points = np.vstack([np.zeros(d), frame.T])
+        X = points[rng.permutation(np.arange(n) % (rho + 1))]
+    return X + rng.normal(size=d), k, rho
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem=_gapped_problem())
+def test_fit_pca_matches_svd_reference(problem):
+    """Differential against the economy SVD where the spectrum has a gap at k."""
+    X, k = problem
+    sub = fit_pca(X, k)
+    ref = svd_pca_basis(X, k)
+    assert sub.rank == ref.shape[1] == k
+    assert np.linalg.norm(sub.basis @ sub.basis.T - ref @ ref.T) <= PROJECTOR_TOL
+    assert np.array_equal(sub.mean, X.mean(axis=0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem=_rank_deficient_problem())
+def test_fit_pca_finds_the_true_rank(problem):
+    """Exact rank-rho and repeated-point data give rho columns.
+
+    The SVD reference is not asked: its tolerance, relative to the largest
+    singular value alone, counts the rounding of the centring as a direction
+    when the spread is small against the offset (two rows 1e-3 apart at
+    offset 0.5 give it rank 2).
+    """
+    X, k, rho = problem
+    assert fit_pca(X, k).rank == rho
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    problem=st.one_of(_gapped_problem(), _rank_deficient_problem().map(lambda p: p[:2])),
+    power=st.sampled_from([-300, 300, 1020]),
+)
+def test_fit_pca_exact_under_power_of_two_scaling(problem, power):
+    """Data times 2^power fits the same basis bit for bit, with no overflow
+    or warning; at 2^1020 the column sums behind a plain mean can overflow."""
+    X, k = problem
+    X = X / np.abs(X).max()
+    base = fit_pca(X, k)
+    with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise", divide="raise"):
+        warnings.simplefilter("error")
+        scaled = fit_pca(X * 2.0**power, k)
+    assert np.array_equal(scaled.basis, base.basis)
+    assert np.array_equal(scaled.mean, base.mean * 2.0**power)
 
 
 class TestReconstructionError:
