@@ -102,16 +102,20 @@ def _fittable(pool: np.ndarray) -> bool:
     return pool.shape[0] >= 2 and bool(np.any(pool != pool[0]))
 
 
-def _whole_pca(data: FeatureMatrix, k: int) -> Subspace:
-    """``fit_pca(data, k)``, computed once per (data object, k).
+def _first_round(data: FeatureMatrix, k: int) -> tuple[Subspace, np.ndarray]:
+    """``fit_pca(data, k)`` and its reconstruction errors, once per (data, k).
 
-    Every fit of a domain starts from this subspace, whatever its tau or
-    cap.  A FeatureMatrix is read-only and hashes by identity, so the memo
-    on it can only ever return a fit of this very data.
+    Every fit of a domain starts from this subspace and these errors,
+    whatever its tau or cap.  A FeatureMatrix is read-only and hashes by
+    identity, so the memo on it can only ever return a round of this very
+    data; the errors are kept read-only.
     """
-    memo = data._pca_memo
+    memo = data._first_rounds
     if k not in memo:
-        memo[k] = fit_pca(data, k)
+        base = fit_pca(data, k)
+        errors = reconstruction_errors(data, base)
+        errors.setflags(write=False)
+        memo[k] = (base, errors)
     return memo[k]
 
 
@@ -131,8 +135,10 @@ def fit_multi(data, k: int, tau: float, max_subspaces: int = 16) -> SubspaceColl
     samples fall below it, if none does, and after it until one does.
     ``tau_escalations`` on the result counts the doublings.
 
-    The first round's PCA depends only on the data and k, so it is kept on
-    the FeatureMatrix and shared by every fit of that object.  The result
+    The first round's PCA and its errors depend only on the data and k, so
+    they are kept on the FeatureMatrix and shared by every fit of that
+    object, whatever its tau; fit_pca in turn keeps the object's Gram
+    eigendecomposition, so every k shares one.  The result
     depends only on the data and the three settings, so a caller may reuse
     it for the same data object; ``adapt``'s ``fit_cache`` keys fits by
     (data object, k, tau, max_subspaces).
@@ -175,9 +181,9 @@ def fit_multi(data, k: int, tau: float, max_subspaces: int = 16) -> SubspaceColl
             escalations += 1
         return tau_eff
 
-    pool, base = X, _whole_pca(data, min(k, n))
+    pool = X
+    base, errors = _first_round(data, min(k, n))
     while True:
-        errors = reconstruction_errors(pool, base)
         outliers = errors >= tau
         keep = np.ones(pool.shape[0], dtype=bool)
         if (
@@ -202,6 +208,7 @@ def fit_multi(data, k: int, tau: float, max_subspaces: int = 16) -> SubspaceColl
         remaining = remaining[~keep]
         pool = rest_pool
         base = fit_pca(pool, min(k, pool.shape[0]))
+        errors = reconstruction_errors(pool, base)
 
     return SubspaceCollection(
         subspaces=tuple(subspaces),

@@ -24,8 +24,8 @@ from .alignment import build_features
 from .classify import PredictionResult, evaluate_accuracy, nn_classify
 from .exceptions import ConfigError, DataFileError, MSAError
 from .grassmann import distance_matrix
-from .matching import greedy_match
-from .multifit import _check_fit_settings, fit_multi
+from .matching import Matching, greedy_match
+from .multifit import SubspaceCollection, _check_fit_settings, fit_multi
 from .subspace import FeatureMatrix
 
 METHODS = ("proposed", "na", "sa")
@@ -70,6 +70,10 @@ class AdaptationConfig:
             # NA accepts the None it stores, so its --out record reads back.
             given = {name: v for name, v in given.items() if v is not None}
         _check_fit_settings(k=self.k, **given)
+        # Store builtin numbers, so that a numpy-typed setting reports as JSON.
+        object.__setattr__(self, "k", int(self.k))
+        for name, value in given.items():
+            object.__setattr__(self, name, int(value) if name == "max_subspaces" else float(value))
         # SA fits one subspace per domain and NA fits none: store what runs.
         fixed = {"sa": (1.0, 1.0, 1), "na": (None, None, None)}.get(self.method)
         if fixed is not None:
@@ -78,12 +82,37 @@ class AdaptationConfig:
 
 
 @dataclass(frozen=True)
+class FitSummary:
+    """The shape of one domain's decomposition, in plain Python ints.
+
+    ``ranks`` and ``sample_counts`` hold, per subspace in fit order, its
+    rank and the number of samples assigned to it; ``tau_escalations`` counts
+    the threshold doublings the fit needed.
+    """
+
+    ranks: tuple[int, ...]
+    sample_counts: tuple[int, ...]
+    tau_escalations: int
+
+    @classmethod
+    def of(cls, fit: SubspaceCollection) -> FitSummary:
+        return cls(
+            ranks=tuple(sub.rank for sub in fit.subspaces),
+            sample_counts=tuple(block.shape[0] for block in fit.coords),
+            tau_escalations=int(fit.tau_escalations),
+        )
+
+
+@dataclass(frozen=True)
 class AdaptationReport:
     """Summary of one pipeline run.
 
     ``accuracy`` is a percentage in [0, 100], or None when the target carried
-    no labels.  ``stage_seconds`` maps each pipeline stage that actually
-    ran, in order, to the seconds it took.  ``wall_time`` is in seconds.
+    no labels.  ``source_fit``, ``target_fit`` and ``matching`` describe the
+    decompositions and their pairing; NA fits nothing and holds None in all
+    three.  ``feature_dim`` is the width of the features 1-NN compared.
+    ``stage_seconds`` maps each pipeline stage that actually ran, in order,
+    to the seconds it took.  ``wall_time`` is in seconds.
     """
 
     source: str
@@ -91,6 +120,10 @@ class AdaptationReport:
     accuracy: float | None
     num_src_subspaces: int
     num_tgt_subspaces: int
+    source_fit: FitSummary | None
+    target_fit: FitSummary | None
+    matching: Matching | None
+    feature_dim: int
     config: AdaptationConfig
     wall_time: float
     stage_seconds: dict[str, float]
@@ -101,10 +134,18 @@ class AdaptationReport:
             "accuracy": self.accuracy,
             "num_src_subspaces": self.num_src_subspaces,
             "num_tgt_subspaces": self.num_tgt_subspaces,
+            "source_fit": _plain(self.source_fit),
+            "target_fit": _plain(self.target_fit),
+            "matching": _plain(self.matching),
+            "feature_dim": self.feature_dim,
             "config": asdict(self.config),
             "wall_time": self.wall_time,
             "stage_seconds": dict(self.stage_seconds),
         }
+
+
+def _plain(record) -> dict | None:
+    return None if record is None else asdict(record)
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,7 +244,7 @@ def adapt(
 
     if config.method == "na":
         train, test = source, target
-        num_src = num_tgt = 0
+        source_fit = target_fit = matching = None
     else:
         cache = {} if fit_cache is None else fit_cache
 
@@ -222,7 +263,7 @@ def adapt(
         )
         train = FeatureMatrix(source_features, source.labels)
         test = FeatureMatrix(target_features)
-        num_src, num_tgt = len(src_fit), len(tgt_fit)
+        source_fit, target_fit = FitSummary.of(src_fit), FitSummary.of(tgt_fit)
 
     prediction = _run_stage(stage_seconds, "classify", nn_classify, train, test)
     accuracy = None
@@ -233,8 +274,12 @@ def adapt(
         source=source_name,
         target=target_name,
         accuracy=accuracy,
-        num_src_subspaces=num_src,
-        num_tgt_subspaces=num_tgt,
+        num_src_subspaces=0 if source_fit is None else len(source_fit.ranks),
+        num_tgt_subspaces=0 if target_fit is None else len(target_fit.ranks),
+        source_fit=source_fit,
+        target_fit=target_fit,
+        matching=matching,
+        feature_dim=train.n_features,
         config=config,
         wall_time=time.perf_counter() - start,
         stage_seconds=stage_seconds,

@@ -10,6 +10,7 @@ centred data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,9 +39,14 @@ class FeatureMatrix:
 
     data: np.ndarray
     labels: np.ndarray | None = None
-    # fit_pca of all of ``data`` by requested k, filled by ``fit_multi``.
-    # The data is read-only, so an entry never goes stale.
-    _pca_memo: dict[int, Subspace] = field(default_factory=dict, init=False, repr=False)
+    # The data is read-only, so neither memo ever goes stale.  The Gram
+    # spectrum of all of ``data``, filled by the first ``fit_pca`` of it:
+    _spectrum: _GramSpectrum | None = field(default=None, init=False, repr=False)
+    # fit_multi's first round, the fit_pca of all of ``data`` and its
+    # reconstruction errors, by requested k:
+    _first_rounds: dict[int, tuple[Subspace, np.ndarray]] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     def __post_init__(self):
         data = np.array(self.data, dtype=np.float64, order="C")
@@ -153,6 +159,20 @@ def _centred(data, subspace: Subspace) -> np.ndarray:
     return X - subspace.mean
 
 
+class _GramSpectrum(NamedTuple):
+    """The half of ``fit_pca`` that does not depend on k.
+
+    ``exponent`` is the e for which the data was centred in units of 2^e,
+    ``mean`` the sample mean in those units, and ``axes`` the eigenvectors
+    of the Gram matrix above the rank tolerance, as columns in order of
+    decreasing eigenvalue.  Both arrays are read-only.
+    """
+
+    exponent: int
+    mean: np.ndarray
+    axes: np.ndarray
+
+
 def fit_pca(data, k: int) -> Subspace:
     """Fit the rank-k principal subspace of mean-centred samples.
 
@@ -166,6 +186,12 @@ def fit_pca(data, k: int) -> Subspace:
     non-negligible magnitude in each column is non-negative, which makes the
     fit deterministic for a given input; scaling the data by a power of two
     scales the mean alike and leaves the basis bit for bit the same.
+
+    The centring and the eigendecomposition do not depend on k.  A
+    FeatureMatrix keeps them from its first fit, so a fit of it at any
+    other k only truncates the eigenvectors (and, when N < d, recentres the
+    data for the d x k product C^T V and its SVD); the basis is bit for bit
+    the one a fresh array of the same rows gives.
 
     Args:
         data: FeatureMatrix or (N, d) array, N >= 2.
@@ -186,22 +212,30 @@ def fit_pca(data, k: int) -> Subspace:
         raise ConfigError(
             f"k must satisfy 1 <= k <= min(N, d) = {min(n, d)}, got {k}"
         )
-    # Compare the rows, not the centred rank: the mean of identical rows
-    # need not round to their value, which leaves rounding noise to fit.
-    if not np.any(X != X[0]):
-        raise DegenerateDataError("all samples are identical; no principal direction")
-    # Centre in units of 2^e, so that neither the mean nor the centred data
-    # of finite samples can overflow.
-    e = _scale_exponent(X)
-    centred = X * 2.0**-e
-    mean = centred.mean(axis=0)
-    centred -= mean
-    basis = _principal_axes(centred, k)
+    spectrum = data._spectrum if isinstance(data, FeatureMatrix) else None
+    centred = None
+    if spectrum is None:
+        # Compare the rows, not the centred rank: the mean of identical rows
+        # need not round to their value, which leaves rounding noise to fit.
+        if not np.any(X != X[0]):
+            raise DegenerateDataError("all samples are identical; no principal direction")
+        spectrum, centred = _gram_spectrum(X)
+        if isinstance(data, FeatureMatrix):
+            object.__setattr__(data, "_spectrum", spectrum)
+    basis = spectrum.axes[:, :k]
+    if n < d:
+        if centred is None:
+            centred = _recentred(X * 2.0**-spectrum.exponent, spectrum.mean)
+        # C^T V holds the principal directions scaled by the square roots of
+        # their eigenvalues; its left singular vectors are those directions,
+        # orthonormal to working precision.
+        basis = np.linalg.svd(centred.T @ basis, full_matrices=False)[0]
     # A unit column always has an entry above 1e-12; the first one sets its
     # sign.  Multiplying by +-1.0 is exact.
     first = basis[np.argmax(np.abs(basis) > 1e-12, axis=0), np.arange(basis.shape[1])]
     return Subspace(
-        basis=basis * np.where(first < 0, -1.0, 1.0), mean=np.ldexp(mean, e)
+        basis=basis * np.where(first < 0, -1.0, 1.0),
+        mean=np.ldexp(spectrum.mean, spectrum.exponent),
     )
 
 
@@ -216,18 +250,34 @@ def _scale_exponent(a: np.ndarray) -> int:
     return max(int(np.frexp(max(a.max(), -a.min()))[1]), -1021)
 
 
-def _principal_axes(centred: np.ndarray, k: int) -> np.ndarray:
-    """The top min(k, rank) principal directions of centred data, as columns.
+def _recentred(scaled: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """``scaled - mean``, in place, rescaled to a largest magnitude in [0.5, 1).
 
-    ``centred`` is an (N, d) array with an entry that is not zero; it is
-    overwritten.  The columns come in order of decreasing variance, with the
-    signs the decomposition gave them.
+    With that scaling no Gram entry can overflow and trace(G) >= 1/4.
     """
-    n, d = centred.shape
-    # With the largest magnitude in [0.5, 1), no Gram entry can overflow and
-    # trace(G) >= 1/4.
-    centred *= 2.0**-_scale_exponent(centred)
-    gram = centred.T @ centred if n >= d else centred @ centred.T
+    scaled -= mean
+    scaled *= 2.0**-_scale_exponent(scaled)
+    return scaled
+
+
+def _gram_spectrum(X: np.ndarray) -> tuple[_GramSpectrum, np.ndarray | None]:
+    """The Gram spectrum of the (N, d) samples X, which are not all equal.
+
+    Also returns the centred data C that the Gram matrix was formed from
+    when N < d, where the basis needs it, and None when N >= d, where C is
+    dropped before the eigendecomposition runs.
+    """
+    n, d = X.shape
+    # Centre in units of 2^e, so that neither the mean nor the centred data
+    # of finite samples can overflow.
+    e = _scale_exponent(X)
+    centred = X * 2.0**-e
+    mean = centred.mean(axis=0)
+    centred = _recentred(centred, mean)
+    if n >= d:
+        gram, centred = centred.T @ centred, None
+    else:
+        gram = centred @ centred.T
     evals, evecs = np.linalg.eigh(gram)
     # Rank tolerance, in eigenvalue units.  Let m be the length of the inner
     # products that form the Gram matrix G (N for C^T C, d for C C^T), p its
@@ -249,13 +299,9 @@ def _principal_axes(centred: np.ndarray, k: int) -> np.ndarray:
     # the tolerance, so the rank is at least 1.
     tol = 2 * (max(n, d) + 2) * np.finfo(np.float64).eps * np.trace(gram)
     rank = int(np.count_nonzero(evals > tol))
-    top = evecs[:, ::-1][:, : min(k, rank)]  # eigh sorts ascending
-    if n >= d:
-        return top
-    # C^T V holds the principal directions scaled by the square roots of
-    # their eigenvalues; its left singular vectors are those directions,
-    # orthonormal to working precision.
-    return np.linalg.svd(centred.T @ top, full_matrices=False)[0]
+    mean.setflags(write=False)
+    evecs.setflags(write=False)
+    return _GramSpectrum(e, mean, evecs[:, ::-1][:, :rank]), centred  # eigh sorts ascending
 
 
 def reconstruction_errors(data, subspace: Subspace) -> np.ndarray:
@@ -274,7 +320,9 @@ def reconstruction_errors(data, subspace: Subspace) -> np.ndarray:
     """
     centred = _centred(data, subspace)
     coords = centred @ subspace.basis
-    residual = centred - coords @ subspace.basis.T
+    # The residual overwrites the projection: one (N, d) temporary, not two.
+    proj = coords @ subspace.basis.T
+    residual = np.subtract(centred, proj, out=proj)
     num = np.einsum("ij,ij->i", residual, residual)
     den = np.einsum("ij,ij->i", centred, centred)
     errors = np.zeros(centred.shape[0])

@@ -9,6 +9,7 @@ import pytest
 from msa import AdaptationConfig
 from msa.cli import main
 from msa.io import save_features_csv, save_labels
+from msa.pipeline import adapt, report_to_json
 from msa.synthetic import planted_benchmark
 
 
@@ -193,6 +194,42 @@ class TestBenchmarkCommand:
         assert main(argv + [str(second), "--grid", str(recorded)]) == 0
         again = [r["config"] for r in json.loads(second.read_text())["runs"]]
         assert again == configs + configs
+
+    def test_numpy_typed_config_reads_back_as_grid(self, dataset_dir, tmp_path, capsys):
+        """The JSON report of a config given numpy numbers records builtin
+        ones, and its config is a --grid entry that runs as recorded."""
+        src, tgt, _ = planted_benchmark(seed=0)
+        config = AdaptationConfig(k=np.int64(2), tau_s=np.float32(0.3), max_subspaces=np.int64(4))
+        recorded = json.loads(report_to_json(adapt(src, tgt, config).report))["config"]
+        assert recorded == asdict(config)
+        grid = tmp_path / "recorded.json"
+        grid.write_text(json.dumps([recorded]))
+        out_path = tmp_path / "bench.json"
+        argv = [
+            "benchmark", "--dir", str(dataset_dir), "--features", "plane",
+            "--grid", str(grid), "--zscore", "off", "--out", str(out_path),
+        ]
+        assert main(argv) == 0
+        runs = json.loads(out_path.read_text())["runs"]
+        assert [r["config"] for r in runs] == [recorded, recorded]
+
+    def test_json_runs_describe_fits_and_matching(self, dataset_dir, grid_file, tmp_path, capsys):
+        out_path = tmp_path / "bench.json"
+        argv = [
+            "benchmark", "--dir", str(dataset_dir), "--features", "plane",
+            "--grid", str(grid_file), "--zscore", "off", "--out", str(out_path),
+        ]
+        assert main(argv) == 0
+        for run in json.loads(out_path.read_text())["runs"]:
+            if run["config"]["method"] == "na":
+                assert (run["source_fit"], run["target_fit"], run["matching"]) == (None, None, None)
+                assert run["feature_dim"] == 8
+                continue
+            for side, count in (("source_fit", "num_src_subspaces"), ("target_fit", "num_tgt_subspaces")):
+                assert sum(run[side]["sample_counts"]) == 200
+                assert len(run[side]["ranks"]) == run[count]
+            assert len(run["matching"]["pairs"]) == run["num_src_subspaces"]
+            assert run["feature_dim"] <= run["config"]["k"]
 
     def test_unwritable_out_exits_2(self, dataset_dir, grid_file, tmp_path, capsys):
         out_path = tmp_path / "absent" / "bench.json"

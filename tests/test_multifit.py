@@ -317,34 +317,42 @@ def test_fit_multi_properties(problem):
 @settings(max_examples=100, deadline=None)
 @given(problem=_fit_problem(), other_tau=st.floats(0.01, 1.0))
 def test_memoized_first_round_is_bit_identical(problem, other_tau):
-    """A FeatureMatrix whose first-round PCA is already memoized fits
-    exactly as a fresh array does, bit for bit, and the memo holds the very
-    read-only subspace fit_pca returned on the whole domain."""
+    """A FeatureMatrix whose first round is already memoized fits exactly as
+    a fresh array does, bit for bit.  The memo holds the very read-only
+    subspace fit_pca returned on the whole domain and its read-only errors,
+    and a second fit neither fits nor scores the whole domain again."""
     X, k, tau, max_subspaces = problem
     if np.all(X == X[0]):
         return
     fm = FeatureMatrix(X)
-    returned = []
+    fitted, scored = [], []
 
     def recording_fit_pca(data, rank):
-        returned.append((data, fit_pca(data, rank)))
-        return returned[-1][1]
+        fitted.append((data, fit_pca(data, rank)))
+        return fitted[-1][1]
 
-    with mock.patch.object(multifit, "fit_pca", side_effect=recording_fit_pca):
+    def recording_errors(data, subspace):
+        scored.append(data)
+        return reconstruction_errors(data, subspace)
+
+    with mock.patch.object(multifit, "fit_pca", side_effect=recording_fit_pca), \
+            mock.patch.object(multifit, "reconstruction_errors", side_effect=recording_errors):
         fit_multi(fm, k=k, tau=other_tau, max_subspaces=max_subspaces)
-        first_calls = len(returned)
+        first_fits, first_scores = len(fitted), len(scored)
         warm = fit_multi(fm, k=k, tau=tau, max_subspaces=max_subspaces)
     whole_k = min(k, X.shape[0])
-    assert returned[0][0] is fm
-    memoized = fm._pca_memo[whole_k]
-    assert memoized is returned[0][1]
-    assert not memoized.basis.flags.writeable and not memoized.mean.flags.writeable
-    # The second fit reads the memo: none of its fits is of the whole domain.
-    assert all(data is not fm for data, _ in returned[first_calls:])
-    # The memoized fit is the one the first round made on a copy of the rows.
-    old_round0 = fit_pca(X[np.arange(X.shape[0])], whole_k)
-    assert np.array_equal(memoized.basis, old_round0.basis)
-    assert np.array_equal(memoized.mean, old_round0.mean)
+    assert fitted[0][0] is fm and scored[0] is fm
+    base, errors = fm._first_rounds[whole_k]
+    assert base is fitted[0][1]
+    assert not base.basis.flags.writeable and not base.mean.flags.writeable
+    assert not errors.flags.writeable
+    assert all(data is not fm for data, _ in fitted[first_fits:])
+    assert all(data is not fm for data in scored[first_scores:])
+    # The memo holds what a first round computes on a copy of the rows.
+    fresh = fit_pca(X.copy(), whole_k)
+    assert np.array_equal(base.basis, fresh.basis)
+    assert np.array_equal(base.mean, fresh.mean)
+    assert np.array_equal(errors, reconstruction_errors(X.copy(), fresh))
 
     cold = fit_multi(X.copy(), k=k, tau=tau, max_subspaces=max_subspaces)
     assert len(warm) == len(cold)
@@ -355,3 +363,29 @@ def test_memoized_first_round_is_bit_identical(problem, other_tau):
         assert np.array_equal(a.mean, b.mean)
     for a, b in zip(warm.coords, cold.coords):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("shape", [(60, 12), (12, 60)], ids=["tall", "wide"])
+def test_one_first_round_per_domain(shape):
+    """Fits at every k and tau share one eigendecomposition of the whole
+    domain, and score it once per k; the errors kept are read-only and equal
+    reconstruction_errors of the rows, bit for bit."""
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=shape) * 10.0 ** rng.uniform(-1, 1, size=shape[1])
+    fm = FeatureMatrix(X)
+    ks, taus = (1, 3, 5), (0.1, 0.3, 0.6)
+    with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh, \
+            mock.patch.object(multifit, "fit_pca", wraps=fit_pca) as fitted, \
+            mock.patch.object(multifit, "reconstruction_errors", wraps=reconstruction_errors) as scored:
+        for k in ks:
+            for tau in taus:
+                fit_multi(fm, k=k, tau=tau)
+    whole_fits = sum(call.args[0] is fm for call in fitted.call_args_list)
+    assert whole_fits == len(ks)
+    # Every fit of a pool decomposes once; the whole domain, once in all.
+    assert eigh.call_count == fitted.call_count - whole_fits + 1
+    assert sum(call.args[0] is fm for call in scored.call_args_list) == len(ks)
+    for k in ks:
+        base, errors = fm._first_rounds[k]
+        assert not errors.flags.writeable
+        assert np.array_equal(errors, reconstruction_errors(X.copy(), base))

@@ -1,5 +1,6 @@
 """End-to-end pipeline behaviour and the benchmark harness."""
 
+import json
 from dataclasses import asdict
 from unittest import mock
 
@@ -15,6 +16,7 @@ from msa.pipeline import (
     adapt,
     default_grid,
     format_table,
+    report_to_json,
     run_benchmark,
     zscore,
 )
@@ -227,6 +229,66 @@ class TestAdapt:
         }
         assert payload["accuracy"] == report.accuracy
         assert list(payload["stage_seconds"])[-1] == "classify"
+
+    def test_numpy_typed_config_reports_as_json(self):
+        src, tgt, _ = planted_benchmark(seed=0)
+        config = AdaptationConfig(
+            k=np.int64(2), tau_s=np.float32(0.3), tau_t=np.float64(0.3),
+            max_subspaces=np.int32(16),
+        )
+        assert [type(v) for v in (config.k, config.tau_s, config.tau_t, config.max_subspaces)] \
+            == [int, float, float, int]
+        # float32 0.3 is stored as the float it denotes, and runs as before.
+        assert config.tau_s == float(np.float32(0.3))
+        result = adapt(src, tgt, config)
+        payload = json.loads(report_to_json(result.report, result.prediction.predictions))
+        assert payload["config"] == asdict(config)
+        plain = adapt(src, tgt, AdaptationConfig(k=2, tau_s=float(np.float32(0.3)), tau_t=0.3))
+        assert np.array_equal(result.prediction.predictions, plain.prediction.predictions)
+
+    @pytest.mark.parametrize("config", [
+        AdaptationConfig(k=2, tau_s=0.3, tau_t=0.3),
+        AdaptationConfig(k=2, tau_s=0.05, tau_t=0.5, max_subspaces=3),
+        AdaptationConfig(k=1, tau_s=0.02, tau_t=0.02),
+        AdaptationConfig(k=2, method="sa"),
+    ], ids=["tau-0.3", "tau-0.05-0.5", "k1-tau-0.02", "sa"])
+    def test_report_describes_fits_and_matching(self, config):
+        """The fit summaries, the matching and the feature width agree with
+        the fits and the features, and are plain Python values."""
+        src, tgt, _ = planted_benchmark(seed=4)
+        result = adapt(src, tgt, config)
+        report = result.report
+        for summary, data, count in (
+            (report.source_fit, src, report.num_src_subspaces),
+            (report.target_fit, tgt, report.num_tgt_subspaces),
+        ):
+            assert sum(summary.sample_counts) == data.n_samples
+            assert len(summary.ranks) == len(summary.sample_counts) == count
+            assert all(1 <= r <= config.k for r in summary.ranks)
+            assert all(type(v) is int for v in (*summary.ranks, *summary.sample_counts))
+            assert type(summary.tau_escalations) is int and summary.tau_escalations >= 0
+        assert report.feature_dim == result.source_features.shape[1]
+        assert report.feature_dim == result.target_features.shape[1]
+        pairs = report.matching.pairs
+        assert [i for i, _, _ in pairs] == list(range(report.num_src_subspaces))
+        assert all(0 <= j < report.num_tgt_subspaces for _, j, _ in pairs)
+        assert all(type(dist) is float and dist >= 0.0 for _, _, dist in pairs)
+        payload = json.loads(report_to_json(report))
+        assert payload["source_fit"]["sample_counts"] == list(report.source_fit.sample_counts)
+        assert payload["target_fit"]["ranks"] == list(report.target_fit.ranks)
+        assert payload["matching"]["policy"] == report.matching.policy
+        assert payload["matching"]["pairs"] == [list(p) for p in pairs]
+        assert payload["feature_dim"] == report.feature_dim
+
+    def test_na_report_records_raw_width_and_no_fits(self):
+        src, tgt, _ = planted_benchmark(seed=0)
+        result = adapt(src, tgt, AdaptationConfig(k=2, method="na"))
+        report = result.report
+        assert (report.source_fit, report.target_fit, report.matching) == (None, None, None)
+        assert report.feature_dim == src.n_features == result.target_features.shape[1]
+        payload = report.to_dict()
+        assert (payload["source_fit"], payload["target_fit"], payload["matching"]) == (None, None, None)
+        assert payload["feature_dim"] == src.n_features
 
 
 class TestZscore:

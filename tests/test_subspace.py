@@ -1,6 +1,7 @@
 """Subspace fitting, projection and reconstruction error."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from msa.exceptions import ConfigError, DegenerateDataError, DimensionMismatchEr
 from msa.subspace import (
     FeatureMatrix,
     Subspace,
-    _principal_axes,
+    _gram_spectrum,
     fit_pca,
     reconstruction_errors,
 )
@@ -106,9 +107,11 @@ class TestFitPca:
         padded = np.hstack([np.full((25, 2), 3.0), X])
         for data in (X, padded, padded[:6]):
             sub = fit_pca(data, 3)
-            # The decomposition's own columns, before the flip; the scaling
-            # inside fit_pca is by a power of two, so it changes no bit.
-            raw = _principal_axes(data - data.mean(axis=0), 3)
+            # The decomposition's own columns, before the flip.
+            spectrum, centred = _gram_spectrum(data)
+            raw = spectrum.axes[:, :3]
+            if centred is not None:
+                raw = np.linalg.svd(centred.T @ raw, full_matrices=False)[0]
             for col, direction in zip(sub.basis.T, raw.T):
                 lead = col[np.abs(col) > 1e-12][0]
                 assert lead >= 0.0
@@ -173,6 +176,25 @@ class TestFitPca:
         a = fit_pca(FeatureMatrix(X), 2)
         b = fit_pca(X, 2)
         assert np.array_equal(a.basis, b.basis)
+
+    @pytest.mark.parametrize("shape", [(30, 8), (8, 30), (12, 12)], ids=["tall", "wide", "square"])
+    @pytest.mark.parametrize("descending", [False, True], ids=["ascending", "descending"])
+    def test_feature_matrix_fits_every_k_from_one_eigh(self, rng, shape, descending):
+        """Fits of one FeatureMatrix at every k share one eigendecomposition
+        and are bit for bit the fits of fresh copies of its rows, whatever
+        order the ks come in; rank-deficient data included."""
+        n, d = shape
+        for X in (rng.normal(size=shape) * 10.0 ** rng.uniform(-2, 2, size=d),
+                  rng.normal(size=(n, 3)) @ rng.normal(size=(3, d)) + 5.0):
+            fm = FeatureMatrix(X)
+            ks = range(1, min(n, d) + 1)
+            with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+                fits = {k: fit_pca(fm, k) for k in (reversed(ks) if descending else ks)}
+            assert eigh.call_count == 1
+            for k, sub in fits.items():
+                fresh = fit_pca(X.copy(), k)
+                assert np.array_equal(sub.basis, fresh.basis)
+                assert np.array_equal(sub.mean, fresh.mean)
 
     def test_optimal_among_random_frames(self, rng):
         """No random frame reconstructs the data better (20 datasets x 200 frames)."""
