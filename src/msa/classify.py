@@ -19,7 +19,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .exceptions import ConfigError, DegenerateDataError, DimensionMismatchError
-from .subspace import FeatureMatrix
+from .subspace import FeatureMatrix, _integer_labels
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,13 +101,14 @@ def evaluate_accuracy(predictions, truth) -> float:
 
     Args:
         predictions: predicted integer labels.
-        truth: ground-truth labels of the same length.
+        truth: ground-truth integer labels of the same length; integral
+            floats such as 1.0 count, 1.7 raises DegenerateDataError.
 
     Returns:
         100 * mean(predictions == truth).
     """
-    pred = np.asarray(predictions, dtype=np.int64)
-    true = np.asarray(truth, dtype=np.int64)
+    pred = _integer_labels(predictions)
+    true = _integer_labels(truth)
     if pred.shape != true.shape or pred.ndim != 1:
         raise DimensionMismatchError(
             f"predictions of shape {pred.shape} do not match truth of shape {true.shape}"

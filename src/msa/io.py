@@ -7,8 +7,8 @@ Two feature-file formats are supported and auto-detected:
   The first line that is neither blank nor comment-only is a header (and
   skipped) when, with its comment removed, it contains any token that does
   not parse as a number.
-* Binary: magic bytes ``MSA1``, then N and d as little-endian uint32, then
-  N * d little-endian float64 values in row-major order.
+* Binary: magic bytes ``MSA1``, then N and d as little-endian uint32 (both
+  at least 1), then N * d little-endian float64 values in row-major order.
 
 A label file holds one integer per line, aligned with the feature rows.
 Text files are read as UTF-8; a leading byte-order mark is skipped.
@@ -120,6 +120,8 @@ def _load_binary(path: Path) -> np.ndarray:
     magic, n, d = struct.unpack_from("<4sII", raw)
     if magic != MAGIC:
         raise DataFileError(f"bad magic bytes {magic!r}", path=path)
+    if n == 0 or d == 0:
+        raise DataFileError(f"header declares {n} x {d} samples; no data", path=path)
     expected = header + n * d * 8
     if len(raw) != expected:
         raise DataFileError(

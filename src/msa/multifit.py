@@ -50,7 +50,8 @@ class SubspaceCollection:
 
     ``coords`` holds one read-only block per subspace: block i is the
     (count_i, rank_i) matrix of coordinates, in subspace i's frame, of the
-    samples assigned to it, in row order.
+    samples assigned to it, in row order, as formed by the
+    ``reconstruction_errors`` call that assigned them.
 
     ``tau_escalations`` counts how many times the fitting loop had to relax
     its error threshold to make progress; it is 0 on well-behaved data.
@@ -102,20 +103,21 @@ def _fittable(pool: np.ndarray) -> bool:
     return pool.shape[0] >= 2 and bool(np.any(pool != pool[0]))
 
 
-def _first_round(data: FeatureMatrix, k: int) -> tuple[Subspace, np.ndarray]:
-    """``fit_pca(data, k)`` and its reconstruction errors, once per (data, k).
+def _first_round(data: FeatureMatrix, k: int) -> tuple[Subspace, np.ndarray, np.ndarray]:
+    """``fit_pca(data, k)`` and its errors and coordinates, once per (data, k).
 
-    Every fit of a domain starts from this subspace and these errors,
+    Every fit of a domain starts from this subspace and its scoring,
     whatever its tau or cap.  A FeatureMatrix is read-only and hashes by
     identity, so the memo on it can only ever return a round of this very
-    data; the errors are kept read-only.
+    data; the errors and coordinates are kept read-only.
     """
     memo = data._first_rounds
     if k not in memo:
         base = fit_pca(data, k)
-        errors = reconstruction_errors(data, base)
+        errors, coords = reconstruction_errors(data, base)
         errors.setflags(write=False)
-        memo[k] = (base, errors)
+        coords.setflags(write=False)
+        memo[k] = (base, errors, coords)
     return memo[k]
 
 
@@ -135,7 +137,7 @@ def fit_multi(data, k: int, tau: float, max_subspaces: int = 16) -> SubspaceColl
     samples fall below it, if none does, and after it until one does.
     ``tau_escalations`` on the result counts the doublings.
 
-    The first round's PCA and its errors depend only on the data and k, so
+    The first round's PCA and its scoring depend only on the data and k, so
     they are kept on the FeatureMatrix and shared by every fit of that
     object, whatever its tau; fit_pca in turn keeps the object's Gram
     eigendecomposition, so every k shares one.  The result
@@ -156,7 +158,7 @@ def fit_multi(data, k: int, tau: float, max_subspaces: int = 16) -> SubspaceColl
 
     Returns:
         SubspaceCollection over the input samples, with every sample's
-        coordinates in the subspace it is assigned to.
+        coordinates in its subspace, from the scoring that assigned it.
     """
     _check_fit_settings(k=k, max_subspaces=max_subspaces, tau=tau)
     if not isinstance(data, FeatureMatrix):
@@ -170,7 +172,8 @@ def fit_multi(data, k: int, tau: float, max_subspaces: int = 16) -> SubspaceColl
 
     remaining = np.arange(n)
     assignment = np.full(n, -1, dtype=np.int64)
-    subspaces: list[Subspace] = []
+    # Each round's subspace and the coordinates of the samples it keeps.
+    rounds: list[tuple[Subspace, np.ndarray]] = []
     escalations = 0
 
     def relax(errors: np.ndarray, tau_eff: float, need: int) -> float:
@@ -182,12 +185,12 @@ def fit_multi(data, k: int, tau: float, max_subspaces: int = 16) -> SubspaceColl
         return tau_eff
 
     pool = X
-    base, errors = _first_round(data, min(k, n))
+    base, errors, coords = _first_round(data, min(k, n))
     while True:
         outliers = errors >= tau
         keep = np.ones(pool.shape[0], dtype=bool)
         if (
-            len(subspaces) < max_subspaces - 1
+            len(rounds) < max_subspaces - 1
             and np.count_nonzero(outliers) >= k
             and _fittable(pool[outliers])
         ):
@@ -195,26 +198,20 @@ def fit_multi(data, k: int, tau: float, max_subspaces: int = 16) -> SubspaceColl
             refit_pool = pool[errors < tau_eff]
             if _fittable(refit_pool):
                 base = fit_pca(refit_pool, min(k, refit_pool.shape[0]))
-                errors = reconstruction_errors(pool, base)
+                errors, coords = reconstruction_errors(pool, base)
             keep = errors < relax(errors, tau_eff, 1)
             rest_pool = pool[~keep]
             if not _fittable(rest_pool):
                 keep[:] = True
 
-        assignment[remaining[keep]] = len(subspaces)
-        subspaces.append(base)
+        assignment[remaining[keep]] = len(rounds)
+        rounds.append((base, coords[keep]))
         if keep.all():
             break
         remaining = remaining[~keep]
         pool = rest_pool
         base = fit_pca(pool, min(k, pool.shape[0]))
-        errors = reconstruction_errors(pool, base)
+        errors, coords = reconstruction_errors(pool, base)
 
-    return SubspaceCollection(
-        subspaces=tuple(subspaces),
-        assignment=assignment,
-        coords=tuple(
-            sub.project(X[assignment == i]) for i, sub in enumerate(subspaces)
-        ),
-        tau_escalations=escalations,
-    )
+    subspaces, blocks = zip(*rounds)
+    return SubspaceCollection(subspaces, assignment, coords=blocks, tau_escalations=escalations)

@@ -2,9 +2,9 @@
 
 Samples are row vectors throughout: a dataset is an (N, d) array and a basis
 is a (d, r) matrix with orthonormal columns.  Every subspace carries the mean
-of the samples it was fitted on, so that projection (``Subspace.project``)
-and reconstruction (``reconstruction_errors``) are always computed on
-centred data.
+of the samples it was fitted on.  ``reconstruction_errors`` scores centred
+samples and returns the coordinates (x - mean)^T B it forms on the way, the
+one projection of samples into a subspace's frame.
 """
 
 from __future__ import annotations
@@ -20,10 +20,24 @@ from .exceptions import ConfigError, DegenerateDataError, DimensionMismatchError
 ORTHONORMAL_TOL = 1e-8
 
 
-def _frozen_array(values, dtype=np.float64) -> np.ndarray:
-    """Copy ``values`` into a C-contiguous read-only array."""
-    out = np.array(values, dtype=dtype, order="C")
+def _frozen_array(values) -> np.ndarray:
+    """Copy ``values`` into a C-contiguous read-only float array."""
+    out = np.array(values, dtype=np.float64, order="C")
     out.setflags(write=False)
+    return out
+
+
+def _integer_labels(values) -> np.ndarray:
+    """``values`` as int64, or DegenerateDataError unless each is an integer.
+
+    Integral floats such as 1.0, as .mat files hold labels, pass; 1.7, NaN
+    or a value beyond int64 raises rather than being cast to another number.
+    """
+    arr = np.asarray(values)
+    with np.errstate(invalid="ignore"):
+        out = arr.astype(np.int64) if arr.dtype.kind in "biuf" else None
+    if out is None or not np.array_equal(out, arr):
+        raise DegenerateDataError(f"labels must be integers, got non-integer {arr.dtype} values")
     return out
 
 
@@ -43,8 +57,8 @@ class FeatureMatrix:
     # spectrum of all of ``data``, filled by the first ``fit_pca`` of it:
     _spectrum: _GramSpectrum | None = field(default=None, init=False, repr=False)
     # fit_multi's first round, the fit_pca of all of ``data`` and its
-    # reconstruction errors, by requested k:
-    _first_rounds: dict[int, tuple[Subspace, np.ndarray]] = field(
+    # reconstruction errors and coordinates, by requested k:
+    _first_rounds: dict[int, tuple[Subspace, np.ndarray, np.ndarray]] = field(
         default_factory=dict, init=False, repr=False
     )
 
@@ -63,7 +77,7 @@ class FeatureMatrix:
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
         if self.labels is not None:
-            labels = np.array(self.labels, dtype=np.int64)
+            labels = _integer_labels(self.labels)
             if labels.ndim != 1 or labels.shape[0] != data.shape[0]:
                 raise DimensionMismatchError(
                     f"labels must be a length-{data.shape[0]} vector, "
@@ -124,17 +138,6 @@ class Subspace:
     def rank(self) -> int:
         return self.basis.shape[1]
 
-    def project(self, samples) -> np.ndarray:
-        """Coordinates (x - mean)^T B of each sample in this subspace's frame.
-
-        Args:
-            samples: FeatureMatrix or (N, d) array.
-
-        Returns:
-            (N, r) array.
-        """
-        return _centred(samples, self) @ self.basis
-
 
 def _sample_array(data) -> np.ndarray:
     """The (N, d) float array behind a FeatureMatrix or an array-like."""
@@ -146,17 +149,6 @@ def _sample_array(data) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise DegenerateDataError("samples contain non-finite entries")
     return arr
-
-
-def _centred(data, subspace: Subspace) -> np.ndarray:
-    """Samples minus the subspace mean, after checking their dimension."""
-    X = _sample_array(data)
-    if X.shape[1] != subspace.ambient_dim:
-        raise DimensionMismatchError(
-            f"samples have dimension {X.shape[1]}, "
-            f"subspace lives in dimension {subspace.ambient_dim}"
-        )
-    return X - subspace.mean
 
 
 class _GramSpectrum(NamedTuple):
@@ -304,8 +296,8 @@ def _gram_spectrum(X: np.ndarray) -> tuple[_GramSpectrum, np.ndarray | None]:
     return _GramSpectrum(e, mean, evecs[:, ::-1][:, :rank]), centred  # eigh sorts ascending
 
 
-def reconstruction_errors(data, subspace: Subspace) -> np.ndarray:
-    """Relative squared reconstruction error of each sample.
+def reconstruction_errors(data, subspace: Subspace) -> tuple[np.ndarray, np.ndarray]:
+    """Relative squared reconstruction error and coordinates of each sample.
 
     For a centred sample x = row - mean the error is
     ||x - B B^T x||^2 / ||x||^2, which lies in [0, 1]; a sample equal to the
@@ -316,9 +308,16 @@ def reconstruction_errors(data, subspace: Subspace) -> np.ndarray:
         subspace: the subspace to reconstruct from.
 
     Returns:
-        Length-N array of errors.
+        (errors, coords): the length-N errors and the (N, r) coordinates
+        (X - mean) @ B of the samples in the subspace's frame.
     """
-    centred = _centred(data, subspace)
+    X = _sample_array(data)
+    if X.shape[1] != subspace.ambient_dim:
+        raise DimensionMismatchError(
+            f"samples have dimension {X.shape[1]}, "
+            f"subspace lives in dimension {subspace.ambient_dim}"
+        )
+    centred = X - subspace.mean
     coords = centred @ subspace.basis
     # The residual overwrites the projection: one (N, d) temporary, not two.
     proj = coords @ subspace.basis.T
@@ -328,4 +327,4 @@ def reconstruction_errors(data, subspace: Subspace) -> np.ndarray:
     errors = np.zeros(centred.shape[0])
     mask = den > 0.0
     errors[mask] = num[mask] / den[mask]
-    return np.clip(errors, 0.0, 1.0)
+    return np.clip(errors, 0.0, 1.0), coords

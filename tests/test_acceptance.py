@@ -115,7 +115,7 @@ def test_criterion_1_invariants_and_oracles(verdict):
                 # every non-final subspace reconstructs its members below tau
                 for i, sub in enumerate(fit.subspaces[:-1]):
                     members = X[fit.assignment == i]
-                    errs = reconstruction_errors(members, sub)
+                    errs, _ = reconstruction_errors(members, sub)
                     assert np.all(errs < tau)
 
         # classification: agrees with a brute-force nearest neighbour

@@ -233,3 +233,18 @@ class TestEvaluateAccuracy:
     def test_empty_rejected(self):
         with pytest.raises(DegenerateDataError):
             evaluate_accuracy([], [])
+
+    def test_integral_float_labels_accepted(self):
+        assert evaluate_accuracy([0, 1, 2], [0.0, 1.0, 5.0]) == pytest.approx(200.0 / 3.0)
+
+    @pytest.mark.parametrize(
+        "truth",
+        [[0.9, 1.2], [0.0, np.nan], [0.0, np.inf], ["0", "1"], [0, None]],
+        ids=["fractional", "nan", "inf", "strings", "none"],
+    )
+    def test_non_integer_labels_rejected(self, truth):
+        """A cast would truncate 0.9 and 1.2 to 0 and 1 and score 100."""
+        with pytest.raises(DegenerateDataError):
+            evaluate_accuracy([0, 1], truth)
+        with pytest.raises(DegenerateDataError):
+            evaluate_accuracy(truth, [0, 1])

@@ -129,6 +129,14 @@ class TestBinary:
         with pytest.raises(DataFileError):
             load_features(path)
 
+    @pytest.mark.parametrize("shape", [(0, 5), (4, 0), (0, 0)])
+    def test_empty_header_rejected(self, tmp_path, shape):
+        """N = 0 or d = 0 is a well-formed header with no data: name the file."""
+        path = tmp_path / "feat.bin"
+        save_features_binary(path, np.zeros(shape))
+        with pytest.raises(DataFileError, match="feat.bin.*no data"):
+            load_features(path)
+
     def test_bad_magic_falls_back_to_csv_error(self, tmp_path):
         path = tmp_path / "feat.bin"
         path.write_bytes(b"XXXX" + b"\x00" * 16)

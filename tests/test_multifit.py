@@ -155,7 +155,7 @@ class TestFitMulti:
         assert fit.tau_escalations == 0
         for i, sub in enumerate(fit.subspaces[:-1]):
             members = X[fit.assignment == i]
-            errs = reconstruction_errors(members, sub)
+            errs, _ = reconstruction_errors(members, sub)
             assert np.all(errs < tau)
 
     def test_termination_and_coverage_randomized(self, rng):
@@ -319,8 +319,9 @@ def test_fit_multi_properties(problem):
 def test_memoized_first_round_is_bit_identical(problem, other_tau):
     """A FeatureMatrix whose first round is already memoized fits exactly as
     a fresh array does, bit for bit.  The memo holds the very read-only
-    subspace fit_pca returned on the whole domain and its read-only errors,
-    and a second fit neither fits nor scores the whole domain again."""
+    subspace fit_pca returned on the whole domain and its read-only errors
+    and coordinates, and a second fit neither fits nor scores the whole
+    domain again."""
     X, k, tau, max_subspaces = problem
     if np.all(X == X[0]):
         return
@@ -342,17 +343,19 @@ def test_memoized_first_round_is_bit_identical(problem, other_tau):
         warm = fit_multi(fm, k=k, tau=tau, max_subspaces=max_subspaces)
     whole_k = min(k, X.shape[0])
     assert fitted[0][0] is fm and scored[0] is fm
-    base, errors = fm._first_rounds[whole_k]
+    base, errors, coords = fm._first_rounds[whole_k]
     assert base is fitted[0][1]
     assert not base.basis.flags.writeable and not base.mean.flags.writeable
-    assert not errors.flags.writeable
+    assert not errors.flags.writeable and not coords.flags.writeable
     assert all(data is not fm for data, _ in fitted[first_fits:])
     assert all(data is not fm for data in scored[first_scores:])
     # The memo holds what a first round computes on a copy of the rows.
     fresh = fit_pca(X.copy(), whole_k)
     assert np.array_equal(base.basis, fresh.basis)
     assert np.array_equal(base.mean, fresh.mean)
-    assert np.array_equal(errors, reconstruction_errors(X.copy(), fresh))
+    fresh_errors, fresh_coords = reconstruction_errors(X.copy(), fresh)
+    assert np.array_equal(errors, fresh_errors)
+    assert np.array_equal(coords, fresh_coords)
 
     cold = fit_multi(X.copy(), k=k, tau=tau, max_subspaces=max_subspaces)
     assert len(warm) == len(cold)
@@ -368,8 +371,8 @@ def test_memoized_first_round_is_bit_identical(problem, other_tau):
 @pytest.mark.parametrize("shape", [(60, 12), (12, 60)], ids=["tall", "wide"])
 def test_one_first_round_per_domain(shape):
     """Fits at every k and tau share one eigendecomposition of the whole
-    domain, and score it once per k; the errors kept are read-only and equal
-    reconstruction_errors of the rows, bit for bit."""
+    domain, and score it once per k; the errors and coordinates kept are
+    read-only and equal reconstruction_errors of the rows, bit for bit."""
     rng = np.random.default_rng(11)
     X = rng.normal(size=shape) * 10.0 ** rng.uniform(-1, 1, size=shape[1])
     fm = FeatureMatrix(X)
@@ -386,6 +389,30 @@ def test_one_first_round_per_domain(shape):
     assert eigh.call_count == fitted.call_count - whole_fits + 1
     assert sum(call.args[0] is fm for call in scored.call_args_list) == len(ks)
     for k in ks:
-        base, errors = fm._first_rounds[k]
-        assert not errors.flags.writeable
-        assert np.array_equal(errors, reconstruction_errors(X.copy(), base))
+        base, errors, coords = fm._first_rounds[k]
+        assert not errors.flags.writeable and not coords.flags.writeable
+        fresh_errors, fresh_coords = reconstruction_errors(X.copy(), base)
+        assert np.array_equal(errors, fresh_errors)
+        assert np.array_equal(coords, fresh_coords)
+
+
+def test_coords_come_from_the_scoring():
+    """An SA fit (tau 1.0) keeps the first round's coordinates as its one
+    block, bit for bit, and the coordinates cost no scoring call of their
+    own: 1 call for SA, 3 for the planted source at k 2, tau 0.3, and 15
+    for an isotropic draw whose rounds escalate."""
+    src, _, _ = planted_benchmark(seed=0)
+    sa = fit_multi(src, k=2, tau=1.0)
+    _, _, coords = src._first_rounds[2]
+    assert len(sa) == 1
+    assert np.array_equal(sa.coords[0], coords)
+
+    iso = np.random.default_rng(3).normal(size=(60, 6))
+    for data, tau, max_subspaces, calls in [
+        (src.data, 1.0, 16, 1),
+        (src.data, 0.3, 16, 3),
+        (iso, 0.05, 8, 15),
+    ]:
+        with mock.patch.object(multifit, "reconstruction_errors", wraps=reconstruction_errors) as scored:
+            fit_multi(data, k=2, tau=tau, max_subspaces=max_subspaces)
+        assert scored.call_count == calls

@@ -1,4 +1,4 @@
-"""Subspace fitting, projection and reconstruction error."""
+"""Subspace fitting, reconstruction error and coordinates."""
 
 import warnings
 from unittest import mock
@@ -43,6 +43,30 @@ class TestFeatureMatrix:
     def test_labels_length_checked(self):
         with pytest.raises(DimensionMismatchError):
             FeatureMatrix(np.zeros((4, 2)), labels=[0, 1])
+
+    def test_integral_float_labels_accepted(self):
+        """Labels read from a .mat file are usually floats such as 1.0."""
+        fm = FeatureMatrix(np.zeros((3, 2)), labels=np.array([1.0, 0.0, -2.0]))
+        assert fm.labels.dtype == np.int64
+        assert np.array_equal(fm.labels, [1, 0, -2])
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            [0.5, 1.7, 2.9],
+            [0.0, np.nan, 2.0],
+            [0.0, 1.0, np.inf],
+            [0.0, 1.0, 1e30],
+            ["a", "b", "c"],
+            [0, None, 2],
+            np.array([0, 1, 2**64 - 1], dtype=np.uint64),
+        ],
+        ids=["fractional", "nan", "inf", "out-of-range", "strings", "none", "uint64-wrap"],
+    )
+    def test_non_integer_labels_rejected(self, labels):
+        """A cast to int64 would truncate or wrap these instead of failing."""
+        with pytest.raises(DegenerateDataError):
+            FeatureMatrix(np.zeros((3, 2)), labels=labels)
 
     def test_rejects_non_finite(self):
         bad = np.ones((3, 2))
@@ -300,63 +324,72 @@ class TestReconstructionError:
         basis = random_orthonormal(rng, 5, 2)
         sub = Subspace(basis, np.zeros(5))
         x = basis @ np.array([2.0, -1.0])
-        assert reconstruction_errors(x[np.newaxis], sub)[0] < 1e-15
+        assert reconstruction_errors(x[np.newaxis], sub)[0][0] < 1e-15
 
     def test_orthogonal_is_one(self):
         sub = Subspace(np.eye(3)[:, :1], np.zeros(3))
-        assert reconstruction_errors([[0.0, 2.0, 0.0]], sub)[0] == pytest.approx(1.0)
+        assert reconstruction_errors([[0.0, 2.0, 0.0]], sub)[0][0] == pytest.approx(1.0)
 
     def test_half_energy(self):
         # x = (1, 1) against span{e1}: residual (0, 1), ratio 1/2
         sub = Subspace(np.eye(2)[:, :1], np.zeros(2))
-        assert reconstruction_errors([[1.0, 1.0]], sub)[0] == pytest.approx(0.5)
+        assert reconstruction_errors([[1.0, 1.0]], sub)[0][0] == pytest.approx(0.5)
 
     def test_mean_shift(self):
         sub = Subspace(np.eye(2)[:, :1], np.array([3.0, 4.0]))
         # sample equal to the mean centres to zero, reports zero
-        assert reconstruction_errors([[3.0, 4.0]], sub)[0] == 0.0
+        assert reconstruction_errors([[3.0, 4.0]], sub)[0][0] == 0.0
 
     def test_range_and_vectorized_consistency(self, rng):
         X = rng.normal(size=(30, 6))
         sub = fit_pca(X, 2)
-        errs = reconstruction_errors(X, sub)
+        errs, _ = reconstruction_errors(X, sub)
         assert errs.shape == (30,)
         assert np.all(errs >= 0.0) and np.all(errs <= 1.0)
         for i in range(30):
-            assert errs[i] == pytest.approx(reconstruction_errors(X[i : i + 1], sub)[0], abs=1e-12)
+            assert errs[i] == pytest.approx(reconstruction_errors(X[i : i + 1], sub)[0][0], abs=1e-12)
 
     def test_full_rank_subspace_zero_error(self, rng):
         X = rng.normal(size=(20, 3))
         sub = fit_pca(X, 3)
-        assert np.all(reconstruction_errors(X, sub) < 1e-15)
+        assert np.all(reconstruction_errors(X, sub)[0] < 1e-15)
 
 
 class TestProject:
+    """The coordinates reconstruction_errors returns with the errors."""
+
     def test_identity_basis(self):
         X = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        out = Subspace(np.eye(3), np.zeros(3)).project(X)
-        assert np.array_equal(out, X)
+        _, coords = reconstruction_errors(X, Subspace(np.eye(3), np.zeros(3)))
+        assert np.array_equal(coords, X)
 
     def test_mean_subtracted(self):
         sub = Subspace(np.eye(3)[:, :2], np.array([1.0, 1.0, 1.0]))
-        assert np.allclose(sub.project([[4.0, 5.0, 6.0]]), [[3.0, 4.0]])
+        _, coords = reconstruction_errors([[4.0, 5.0, 6.0]], sub)
+        assert np.allclose(coords, [[3.0, 4.0]])
 
     def test_single_sample_shape(self, rng):
         """One sample is a (1, d) row; a bare length-d vector is rejected."""
         sub = Subspace(random_orthonormal(rng, 4, 2), np.zeros(4))
-        assert sub.project(np.zeros((1, 4))).shape == (1, 2)
-        assert sub.project(np.zeros((3, 4))).shape == (3, 2)
+        for n in (1, 3):
+            errors, coords = reconstruction_errors(np.zeros((n, 4)), sub)
+            assert errors.shape == (n,)
+            assert coords.shape == (n, 2)
         with pytest.raises(DimensionMismatchError):
-            sub.project(np.zeros(4))
+            reconstruction_errors(np.zeros(4), sub)
 
     def test_dimension_check(self, rng):
         sub = Subspace(random_orthonormal(rng, 4, 2), np.zeros(4))
         with pytest.raises(DimensionMismatchError):
-            sub.project(np.zeros((3, 5)))
+            reconstruction_errors(np.zeros((3, 5)), sub)
 
-    def test_subspace_method_agrees(self, rng):
-        """The method is (X - mean) @ basis bit for bit, for arrays and FeatureMatrix."""
+    def test_coords_are_exact_projection(self, rng):
+        """The coordinates are (X - mean) @ basis bit for bit, for arrays and
+        FeatureMatrix alike."""
         X = rng.normal(size=(8, 5))
         sub = fit_pca(X, 2)
-        assert np.array_equal(sub.project(X), (X - sub.mean) @ sub.basis)
-        assert np.array_equal(sub.project(FeatureMatrix(X)), sub.project(X))
+        errors, coords = reconstruction_errors(X, sub)
+        assert np.array_equal(coords, (X - sub.mean) @ sub.basis)
+        fm_errors, fm_coords = reconstruction_errors(FeatureMatrix(X), sub)
+        assert np.array_equal(fm_coords, coords)
+        assert np.array_equal(fm_errors, errors)
