@@ -8,63 +8,55 @@ which for equal ranks reduces to the chordal distance sqrt(sum_i sin^2 theta_i)
 over the principal angles theta_i, and for unequal ranks adds one unit per
 missing direction.  It is symmetric, invariant under rotation of either basis
 within its span, and bounded by sqrt(max(r1, r2)).  ``distance_matrix``
-scores every source subspace against every target subspace.
+scores every source subspace against every target subspace from one product
+S^T T of the stacked bases: block [i, j] of that overlap is Bs_i^T Bt_j, so
+each distance is read off its block's squared Frobenius norm, and the same
+overlap carries the alignment transforms (see :mod:`msa.alignment`).
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .exceptions import DegenerateDataError, DimensionMismatchError
-from .subspace import Subspace
 
 # Radicands this far below zero are rounding noise and are clamped to zero.
 _NEGATIVE_SLACK = 1e-9
 
 
-def directional_distance(a: Subspace, b: Subspace) -> float:
-    """Symmetric directional distance between two subspaces.
+def distance_matrix(source, target) -> tuple[np.ndarray, np.ndarray]:
+    """All pairwise distances between two sequences of subspaces.
 
     Args:
-        a: first subspace.
-        b: second subspace, in the same ambient dimension.
+        source: Subspaces providing the rows.
+        target: Subspaces providing the columns, in the same ambient
+            dimension.
 
     Returns:
-        A value in [0, sqrt(max(rank(a), rank(b)))].
+        Read-only (distances, overlap).  ``distances`` is (m_s, m_t); entry
+        [i, j] is the distance between source subspace i and target subspace
+        j.  ``overlap`` is S^T T for the column-stacked bases S and T, of
+        shape (sum of source ranks, sum of target ranks).
     """
-    if a.ambient_dim != b.ambient_dim:
+    dims = {sub.ambient_dim for sub in (*source, *target)}
+    if len(dims) != 1:
         raise DimensionMismatchError(
-            f"subspaces live in different ambient dimensions "
-            f"({a.ambient_dim} vs {b.ambient_dim})"
+            f"subspaces live in different ambient dimensions: {sorted(dims)}"
         )
-    overlap = a.basis.T @ b.basis
-    radicand = max(a.rank, b.rank) - float(np.sum(overlap * overlap))
-    if radicand < 0.0:
-        if radicand < -_NEGATIVE_SLACK:
-            raise DegenerateDataError(
-                f"distance radicand {radicand} is negative beyond rounding noise; "
-                "basis columns are not orthonormal"
-            )
-        radicand = 0.0
-    return math.sqrt(radicand)
-
-
-def distance_matrix(source, target) -> np.ndarray:
-    """All pairwise distances between two collections of subspaces.
-
-    Args:
-        source: SubspaceCollection providing the rows.
-        target: SubspaceCollection providing the columns.
-
-    Returns:
-        Read-only (m_s, m_t) array; entry [i, j] is the distance between
-        source subspace i and target subspace j.
-    """
-    values = np.empty((len(source.subspaces), len(target.subspaces)))
-    for i, s in enumerate(source.subspaces):
-        for j, t in enumerate(target.subspaces):
-            values[i, j] = directional_distance(s, t)
-    values.setflags(write=False)
-    return values
+    overlap = np.hstack([s.basis for s in source]).T @ np.hstack([t.basis for t in target])
+    rs = np.array([s.rank for s in source])
+    rt = np.array([t.rank for t in target])
+    squared = overlap * overlap
+    block_norms = np.add.reduceat(
+        np.add.reduceat(squared, np.cumsum(rs) - rs, axis=0), np.cumsum(rt) - rt, axis=1
+    )
+    radicand = np.maximum.outer(rs, rt) - block_norms
+    if radicand.min() < -_NEGATIVE_SLACK:
+        raise DegenerateDataError(
+            f"distance radicand {radicand.min()} is negative beyond rounding noise; "
+            "basis columns are not orthonormal"
+        )
+    distances = np.sqrt(np.maximum(radicand, 0.0))
+    distances.setflags(write=False)
+    overlap.setflags(write=False)
+    return distances, overlap

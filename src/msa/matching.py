@@ -1,6 +1,6 @@
 """Greedy pairing of source subspaces with target subspaces by distance.
 
-``greedy_match`` takes the (m_s, m_t) array of ``grassmann.distance_matrix``
+``greedy_match`` takes the (m_s, m_t) distances of ``grassmann.distance_matrix``
 and numbers each subspace by its position in its ``SubspaceCollection``.
 """
 

@@ -161,12 +161,16 @@ class AdaptationResult:
 def zscore(data: np.ndarray) -> np.ndarray:
     """Zero mean, unit standard deviation per feature dimension.
 
-    Constant dimensions are centred but left unscaled.
+    Constant dimensions are centred but left unscaled, so they map to 0.0.
     """
     arr = np.asarray(data, dtype=np.float64)
-    mean = arr.mean(axis=0)
+    # A constant column's mean can round away from its value, leaving a
+    # standard deviation of rounding residue: test the extremes instead.
+    top = arr.max(axis=0)
+    constant = top == arr.min(axis=0)
+    mean = np.where(constant, top, arr.mean(axis=0))
     std = arr.std(axis=0)
-    std = np.where(std > 0.0, std, 1.0)
+    std = np.where(constant | (std == 0.0), 1.0, std)
     return (arr - mean) / std
 
 
@@ -256,10 +260,12 @@ def adapt(
 
         src_fit = _run_stage(stage_seconds, "fit_source", fit_domain, source, config.tau_s)
         tgt_fit = _run_stage(stage_seconds, "fit_target", fit_domain, target, config.tau_t)
-        distances = _run_stage(stage_seconds, "distance_matrix", distance_matrix, src_fit, tgt_fit)
+        distances, overlap = _run_stage(
+            stage_seconds, "distance_matrix", distance_matrix, src_fit.subspaces, tgt_fit.subspaces,
+        )
         matching = _run_stage(stage_seconds, "greedy_match", greedy_match, distances)
         source_features, target_features = _run_stage(
-            stage_seconds, "align_project", build_features, src_fit, tgt_fit, matching,
+            stage_seconds, "align_project", build_features, src_fit, tgt_fit, matching, overlap,
         )
         train = FeatureMatrix(source_features, source.labels)
         test = FeatureMatrix(target_features)

@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from msa import multifit
+from msa import multifit, pipeline
 from msa.exceptions import ConfigError
 from msa.io import save_features_csv, save_labels
 from msa.pipeline import (
@@ -113,6 +113,22 @@ class TestAdapt:
         )
         assert all(s >= 0.0 for s in report.stage_seconds.values())
         assert sum(report.stage_seconds.values()) <= report.wall_time
+
+    def test_one_overlap_per_call(self):
+        """Distances and transforms share one S^T T: build_features gets the
+        very overlap distance_matrix formed, and nothing forms another."""
+        src, tgt, _ = planted_benchmark(seed=0)
+        original, formed = pipeline.distance_matrix, []
+
+        def distances(source, target):
+            formed.append(original(source, target))
+            return formed[-1]
+
+        with mock.patch.object(pipeline, "distance_matrix", distances), \
+                mock.patch.object(pipeline, "build_features", wraps=pipeline.build_features) as built:
+            adapt(src, tgt, AdaptationConfig(k=2, tau_s=0.3, tau_t=0.3))
+        assert len(formed) == 1 and built.call_count == 1
+        assert built.call_args.args[3] is formed[0][1]
 
     def test_na_path_skips_all_fitting(self):
         src, tgt, _ = planted_benchmark(seed=0)
@@ -303,6 +319,15 @@ class TestZscore:
         Z = zscore(X)
         assert np.allclose(Z[:, 1], 0.0)
         assert np.isfinite(Z).all()
+
+    @pytest.mark.parametrize("value, rows", [(5.0, 3), (0.1, 958), (0.3, 157)])
+    def test_constant_column_is_exactly_zero(self, value, rows):
+        """The mean of 958 rows of 0.1 rounds away from 0.1, which leaves a
+        standard deviation of 1.2e-15 that must not scale the column."""
+        X = np.column_stack([np.linspace(-1.0, 1.0, rows), np.full(rows, value)])
+        Z = zscore(X)
+        assert np.array_equal(Z[:, 1], np.zeros(rows))
+        assert Z[:, 0].std() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestDefaultGrid:
