@@ -24,6 +24,11 @@ from .exceptions import DegenerateDataError, DimensionMismatchError
 _NEGATIVE_SLACK = 1e-9
 
 
+def _stacked(subspaces) -> np.ndarray:
+    """The bases side by side; a single basis as it is, which stacking would copy."""
+    return subspaces[0].basis if len(subspaces) == 1 else np.hstack([s.basis for s in subspaces])
+
+
 def distance_matrix(source, target) -> tuple[np.ndarray, np.ndarray]:
     """All pairwise distances between two sequences of subspaces.
 
@@ -43,7 +48,7 @@ def distance_matrix(source, target) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionMismatchError(
             f"subspaces live in different ambient dimensions: {sorted(dims)}"
         )
-    overlap = np.hstack([s.basis for s in source]).T @ np.hstack([t.basis for t in target])
+    overlap = _stacked(source).T @ _stacked(target)
     rs = np.array([s.rank for s in source])
     rt = np.array([t.rank for t in target])
     squared = overlap * overlap

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
 from msa.exceptions import DegenerateDataError, DimensionMismatchError
-from msa.grassmann import distance_matrix
+from msa.grassmann import _stacked, distance_matrix
 from msa.multifit import fit_multi
 from msa.subspace import Subspace
 
@@ -143,6 +143,12 @@ class TestDistanceMatrix:
         object.__setattr__(sub, "basis", basis * (1.0 + 1e-6))
         with pytest.raises(DegenerateDataError, match="radicand"):
             distance_matrix((sub,), (sub,))
+
+    def test_one_basis_is_used_without_a_copy(self, rng):
+        """A one-subspace side is its basis itself; several are stacked."""
+        a, b = _sub(random_orthonormal(rng, 6, 2)), _sub(random_orthonormal(rng, 6, 3))
+        assert _stacked((a,)) is a.basis
+        assert np.array_equal(_stacked((a, b)), np.hstack([a.basis, b.basis]))
 
 
 def _subspaces(draw, d, count, k):
