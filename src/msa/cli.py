@@ -2,7 +2,8 @@
 
 Two subcommands: ``adapt`` runs the pipeline on one source/target pair and
 prints the accuracy, ``benchmark`` sweeps every ordered domain pair of a
-dataset directory.  Exit codes: 0 on success, 2 for input or data-format
+dataset directory; ``benchmark -v`` logs one progress line per pair to
+standard error.  Exit codes: 0 on success, 2 for input or data-format
 problems, 3 for configuration problems.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 
 from . import pipeline
@@ -62,6 +64,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--out", help="write all reports as JSON")
     p_bench.add_argument(
         "--table", action="store_true", help="print the best-per-pair table"
+    )
+    p_bench.add_argument(
+        "-v", "--verbose", action="store_true",
+        help="log progress and each pair's best config to standard error",
     )
     return parser
 
@@ -123,9 +129,19 @@ def _cmd_adapt(args) -> int:
 def _cmd_benchmark(args) -> int:
     grid = _load_grid(args.grid) if args.grid else None
     normalize = None if args.zscore is None else args.zscore == "on"
-    result = pipeline.run_benchmark(
-        args.dir, args.features, grid=grid, normalize=normalize
-    )
+    # main() can run in process, so the logger is left as it was found.
+    logger, handler = pipeline.logger, logging.StreamHandler(sys.stderr)
+    level = logger.level
+    if args.verbose:
+        logger.addHandler(handler)
+        logger.setLevel(logging.INFO)
+    try:
+        result = pipeline.run_benchmark(
+            args.dir, args.features, grid=grid, normalize=normalize
+        )
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
     if args.table or not args.out:
         print(pipeline.format_table(result))
     if args.out:

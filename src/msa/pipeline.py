@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import logging
 import time
 from dataclasses import asdict, dataclass
 
@@ -27,6 +28,8 @@ from .grassmann import distance_matrix
 from .matching import Matching, greedy_match
 from .multifit import SubspaceCollection, _check_fit_settings, fit_multi
 from .subspace import FeatureMatrix
+
+logger = logging.getLogger(__name__)
 
 METHODS = ("proposed", "na", "sa")
 
@@ -378,8 +381,11 @@ def run_benchmark(
     runs: list[AdaptationReport] = []
     best: dict[tuple[str, str, str], AdaptationReport] = {}
     fit_cache: dict = {}
-    for src_name, tgt_name in itertools.permutations(sorted(loaded), 2):
+    pairs = list(itertools.permutations(sorted(loaded), 2))
+    start = time.perf_counter()
+    for pair_index, (src_name, tgt_name) in enumerate(pairs, 1):
         source, target = loaded[src_name], loaded[tgt_name]
+        pair_start = len(runs)
         pair_grid = grid
         if pair_grid is None:
             pair_grid = default_grid(source.n_samples, target.n_samples, source.n_features)
@@ -397,7 +403,28 @@ def run_benchmark(
             key = (src_name, tgt_name, config.method)
             if key not in best or (report.accuracy or 0.0) > (best[key].accuracy or 0.0):
                 best[key] = report
+        pair_best = max(runs[pair_start:], key=lambda r: r.accuracy or 0.0, default=None)
+        logger.info(
+            "pair %d/%d %s -> %s: %d configs done, %.1f s, best %s",
+            pair_index, len(pairs), src_name, tgt_name, len(runs),
+            time.perf_counter() - start, _describe_best(pair_best),
+        )
     return BenchmarkResult(best=tuple(best.values()), runs=tuple(runs))
+
+
+def _describe_best(report: AdaptationReport | None) -> str:
+    """One pair's best run for the progress log: its config and accuracy."""
+    if report is None:
+        return "none (no config fits this pair)"
+    config = report.config
+    settings = "" if config.method == "na" else f" k={config.k}"
+    if config.method == "proposed":
+        settings += (
+            f" tau_s={config.tau_s} tau_t={config.tau_t}"
+            f" max_subspaces={config.max_subspaces}"
+        )
+    accuracy = "n/a" if report.accuracy is None else f"{report.accuracy:.2f}"
+    return f"{config.method}{settings}, accuracy {accuracy}"
 
 
 def format_table(result: BenchmarkResult) -> str:

@@ -40,6 +40,27 @@ def fallback_rows(monkeypatch):
     return rows
 
 
+@pytest.fixture
+def block_rows(monkeypatch):
+    """Record the test rows of each block whose product nn_classify forms."""
+    rows = []
+    matmul = np.matmul
+
+    def counting(x, y, *args, **kwargs):
+        rows.append(x.shape[0])
+        return matmul(x, y, *args, **kwargs)
+
+    monkeypatch.setattr(msa.classify.np, "matmul", counting)
+    return rows
+
+
+def _use_blocks(patch, n_train, height):
+    """Make nn_classify take blocks of ``height`` test rows whenever d <
+    height, however small G is."""
+    patch.setattr(msa.classify, "_BLOCK_BYTES", 8 * n_train * height)
+    patch.setattr(msa.classify, "_MAX_WHOLE_BYTES", 0)
+
+
 class TestNnClassify:
     def test_matches_brute_force(self, rng):
         """Twenty random instances against a double-loop reference."""
@@ -214,6 +235,119 @@ def test_matches_cdist_argmin(problem):
     """Differential against cdist(...).argmin(1) on tie-heavy inputs."""
     train, test = problem
     assert np.array_equal(_nearest(train, test), _cdist_nearest(train, test))
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem=_tied_problem())
+def test_matches_cdist_argmin_in_blocks(problem):
+    """The same differential with blocks of d + 1 test rows, so that most
+    problems span several blocks, the last one often partial."""
+    train, test = problem
+    with pytest.MonkeyPatch.context() as patch:
+        _use_blocks(patch, train.shape[0], train.shape[1] + 1)
+        assert np.array_equal(_nearest(train, test), _cdist_nearest(train, test))
+
+
+class TestBlocks:
+    """Blocking the test rows changes neither the labels nor the fallback."""
+
+    def test_ties_straddling_block_edges_go_to_lowest_index(
+        self, rng, monkeypatch, fallback_rows, block_rows
+    ):
+        base = rng.normal(size=(5, 2))
+        train = np.vstack([base, base, base])  # every row three times
+        test = np.vstack([base, base[::-1], [[0.0, 0.0]]])  # 11 rows
+        _use_blocks(monkeypatch, 15, 4)
+        nearest = _nearest(train, test)
+        assert block_rows == [4, 4, 3]
+        assert np.array_equal(nearest[:10], np.r_[np.arange(5), np.arange(5)[::-1]])
+        assert np.array_equal(nearest, _cdist_nearest(train, test))
+        # Every row is an exact tie; all reach one cdist call.
+        assert fallback_rows == [11]
+
+    def test_equidistant_rows_in_every_block(self, monkeypatch, fallback_rows, block_rows):
+        """Half-integer points tie exactly between two lattice rows."""
+        train = np.array([[i, j] for i in range(4) for j in range(4)], dtype=float)
+        ties = np.array([[i + 0.5, j] for i in range(3) for j in range(4)])
+        test = np.vstack([ties[:4], [[0.2, 0.1]], ties[4:], [[2.1, 2.8]]])
+        _use_blocks(monkeypatch, 16, 3)
+        nearest = _nearest(train, test)
+        assert block_rows == [3, 3, 3, 3, 2]
+        assert np.array_equal(nearest, _cdist_nearest(train, test))
+        # The lower lattice row of each tie, i.e. the one at (i, j).
+        assert np.array_equal(nearest[:4], [0, 1, 2, 3])
+        assert fallback_rows == [len(ties)]
+
+    def test_near_ties_from_every_block_fall_back(self, rng, monkeypatch, fallback_rows, block_rows):
+        offset = 1e8
+        train = offset + rng.normal(size=(40, 4))
+        test = offset + rng.normal(size=(30, 4))
+        _use_blocks(monkeypatch, 40, 7)
+        assert np.array_equal(_nearest(train, test), _cdist_nearest(train, test))
+        assert block_rows == [7, 7, 7, 7, 2]
+        assert sum(fallback_rows) == 30
+
+    def test_each_row_keeps_its_own_bound(self, rng, monkeypatch, fallback_rows, block_rows):
+        """A far component orthogonal to the training rows widens a row's
+        bound past every gap, so only the middle block's rows fall back."""
+        train = np.hstack([rng.normal(size=(30, 3)), np.zeros((30, 1))])
+        near = np.hstack([rng.normal(size=(8, 3)), np.zeros((8, 1))])
+        far = near + [0.0, 0.0, 0.0, 1e8]
+        test = np.vstack([near, far, near])
+        _use_blocks(monkeypatch, 30, 8)
+        nearest = _nearest(train, test)
+        assert block_rows == [8, 8, 8]
+        assert np.array_equal(nearest, _cdist_nearest(train, test))
+        assert fallback_rows == [8]
+
+    def test_settled_rows_skip_cdist(self, rng, monkeypatch, fallback_rows, block_rows):
+        train = rng.normal(size=(50, 8))
+        test = rng.normal(size=(40, 8))
+        _use_blocks(monkeypatch, 50, 9)
+        assert np.array_equal(_nearest(train, test), _cdist_nearest(train, test))
+        assert block_rows == [9, 9, 9, 9, 4]
+        assert fallback_rows == []
+
+    @pytest.mark.parametrize("d, blocks", [(2, [3] * 6 + [2]), (3, [20]), (6, [20])])
+    def test_width_at_or_above_height_is_one_block(self, rng, monkeypatch, block_rows, d, blocks):
+        """Blocks of h = 3 rows are used only for d < 3; the labels agree."""
+        train = rng.integers(-2, 3, size=(30, d)).astype(float)
+        test = rng.integers(-2, 3, size=(20, d)) + rng.choice([0.0, 0.5], size=(20, d))
+        whole = _nearest(train, test)
+        assert block_rows == [20]
+        block_rows.clear()
+        _use_blocks(monkeypatch, 30, 3)
+        assert np.array_equal(_nearest(train, test), whole)
+        assert block_rows == blocks
+        assert np.array_equal(whole, _cdist_nearest(train, test))
+
+    def test_only_a_large_g_is_blocked(self, rng, monkeypatch, block_rows):
+        """G of 20 x 30 x 8 = 4800 bytes: whole at a 4800-byte limit, in
+        blocks of 3 rows below it."""
+        train = rng.normal(size=(30, 2))
+        test = rng.normal(size=(20, 2))
+        _use_blocks(monkeypatch, 30, 3)
+        monkeypatch.setattr(msa.classify, "_MAX_WHOLE_BYTES", 4800)
+        whole = _nearest(train, test)
+        assert block_rows == [20]
+        block_rows.clear()
+        monkeypatch.setattr(msa.classify, "_MAX_WHOLE_BYTES", 4799)
+        assert np.array_equal(_nearest(train, test), whole)
+        assert block_rows == [3] * 6 + [2]
+        assert np.array_equal(whole, _cdist_nearest(train, test))
+
+    def test_default_limits_block_a_tall_narrow_problem(self, rng, block_rows):
+        """A 2000 x 2400 G (38.4 MB) at d = 20 goes in blocks of 109 rows,
+        2 MiB over 2400 training rows; 1123 x 958 (8.6 MB) stays whole."""
+        train = rng.normal(size=(2400, 20))
+        test = rng.normal(size=(2000, 20))
+        assert np.array_equal(_nearest(train, test), _cdist_nearest(train, test))
+        assert block_rows == [109] * 18 + [38]
+        block_rows.clear()
+        assert np.array_equal(
+            _nearest(train[:958], test[:1123]), _cdist_nearest(train[:958], test[:1123])
+        )
+        assert block_rows == [1123]
 
 
 class TestEvaluateAccuracy:

@@ -161,6 +161,33 @@ class TestBenchmarkCommand:
         out = capsys.readouterr().out
         assert "A-B" in out and "B-A" in out and "Avg" in out
 
+    @pytest.mark.parametrize("flag", ["-v", "--verbose"])
+    def test_verbose_logs_each_pair(self, dataset_dir, grid_file, capsys, flag):
+        argv = [
+            "benchmark", "--dir", str(dataset_dir), "--features", "plane",
+            "--grid", str(grid_file), "--zscore", "off", flag,
+        ]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "pair 1/2 alpha -> beta", "pair 2/2 beta -> alpha",
+        ]
+        assert all("configs done" in line and " best " in line for line in lines)
+        # The table is unchanged: one row per pair, no progress in it.
+        assert "A-B" in captured.out and "configs done" not in captured.out
+
+    def test_quiet_without_verbose(self, dataset_dir, grid_file, capsys):
+        argv = [
+            "benchmark", "--dir", str(dataset_dir), "--features", "plane",
+            "--grid", str(grid_file), "--zscore", "off",
+        ]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        # A verbose run does not leave the logger configured.
+        assert main(argv + ["-v"]) == 0 and main(argv) == 0
+        assert capsys.readouterr().err.count("configs done") == 2
+
     def test_json_output(self, dataset_dir, grid_file, tmp_path, capsys):
         out_path = tmp_path / "bench.json"
         argv = [

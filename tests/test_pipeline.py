@@ -1,6 +1,7 @@
 """End-to-end pipeline behaviour and the benchmark harness."""
 
 import json
+import logging
 from dataclasses import asdict
 from unittest import mock
 
@@ -438,6 +439,21 @@ class TestRunBenchmark:
         parts = [c.args[0] for c in counted.call_args_list if not isinstance(c.args[0], FeatureMatrix)]
         smallest = min(fm.n_samples for fm in domains.values())
         assert parts and all(part.shape[0] < smallest for part in parts)
+
+    def test_logs_one_progress_line_per_ordered_pair(self, dataset_dir, small_grid, caplog):
+        with caplog.at_level(logging.INFO, logger="msa.pipeline"):
+            result = run_benchmark(dataset_dir, "plane", grid=small_grid, normalize=False)
+        lines = [r.getMessage() for r in caplog.records if r.name == "msa.pipeline"]
+        assert len(lines) == 2
+        assert lines[0].startswith("pair 1/2 alpha -> beta: 4 configs done, ")
+        assert lines[1].startswith("pair 2/2 beta -> alpha: 8 configs done, ")
+        for line, pair in zip(lines, (("alpha", "beta"), ("beta", "alpha"))):
+            top = max(
+                (r for r in result.runs if (r.source, r.target) == pair),
+                key=lambda r: r.accuracy,
+            )
+            assert line.endswith(f"accuracy {top.accuracy:.2f}")
+            assert f"best {top.config.method}" in line
 
     def test_table_renders(self, dataset_dir, small_grid):
         result = run_benchmark(dataset_dir, "plane", grid=small_grid, normalize=False)
