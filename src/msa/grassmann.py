@@ -11,17 +11,18 @@ within its span, and bounded by sqrt(max(r1, r2)).  ``distance_matrix``
 scores every source subspace against every target subspace from one product
 S^T T of the stacked bases: block [i, j] of that overlap is Bs_i^T Bt_j, so
 each distance is read off its block's squared Frobenius norm, and the same
-overlap carries the alignment transforms (see :mod:`msa.alignment`).
+overlap carries the alignment transforms (see :mod:`msa.alignment`).  The
+bases are trusted to meet the orthonormality contract of
+:class:`msa.subspace.Subspace` (``ORTHONORMAL_TOL``); a radicand within the
+slack that contract allows reads as distance 0, and nothing is checked again.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import DegenerateDataError, DimensionMismatchError
-
-# Radicands this far below zero are rounding noise and are clamped to zero.
-_NEGATIVE_SLACK = 1e-9
+from .exceptions import DimensionMismatchError
+from .subspace import ORTHONORMAL_TOL
 
 
 def _stacked(subspaces) -> np.ndarray:
@@ -56,12 +57,18 @@ def distance_matrix(source, target) -> tuple[np.ndarray, np.ndarray]:
         np.add.reduceat(squared, np.cumsum(rs) - rs, axis=0), np.cumsum(rt) - rt, axis=1
     )
     radicand = np.maximum.outer(rs, rt) - block_norms
-    if radicand.min() < -_NEGATIVE_SLACK:
-        raise DegenerateDataError(
-            f"distance radicand {radicand.min()} is negative beyond rounding noise; "
-            "basis columns are not orthonormal"
-        )
-    distances = np.sqrt(np.maximum(radicand, 0.0))
+    # Under the contract (delta = ||B^T B - I||_F <= ORTHONORMAL_TOL), with r0
+    # the smaller rank of a pair, B0 that basis and B1 the other:
+    #   ||Bs^T Bt||_F^2 <= ||B1||_2^2 ||B0||_F^2 <= (1 + delta)(r0 + sqrt(r0) delta)
+    #                   <= r0 + slack,  slack = delta (1 + delta)(r0 + sqrt(r0)),
+    # since ||B1||_2^2 <= 1 + delta and trace(B0^T B0) <= r0 + sqrt(r0) delta.
+    # So no radicand of valid bases lies below -slack (rounding adds about
+    # 2 d eps sqrt(r0 r1), far less at any d in use), and one within slack of
+    # zero, on either side, cannot be told from it: it reads 0, so spans that
+    # are equal to within the contract tie exactly.
+    r0 = np.minimum.outer(rs, rt)
+    slack = ORTHONORMAL_TOL * (1 + ORTHONORMAL_TOL) * (r0 + np.sqrt(r0))
+    distances = np.sqrt(np.where(radicand > slack, radicand, 0.0))
     distances.setflags(write=False)
     overlap.setflags(write=False)
     return distances, overlap

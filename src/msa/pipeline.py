@@ -113,16 +113,16 @@ class AdaptationReport:
     ``accuracy`` is a percentage in [0, 100], or None when the target carried
     no labels.  ``source_fit``, ``target_fit`` and ``matching`` describe the
     decompositions and their pairing; NA fits nothing and holds None in all
-    three.  ``feature_dim`` is the width of the features 1-NN compared.
-    ``stage_seconds`` maps each pipeline stage that actually ran, in order,
-    to the seconds it took.  ``wall_time`` is in seconds.
+    three.  ``num_src_subspaces`` and ``num_tgt_subspaces`` count the
+    subspaces of each fit, 0 for NA.  ``feature_dim`` is the width of the
+    features 1-NN compared.  ``stage_seconds`` maps each pipeline stage
+    that actually ran, in order, to the seconds it took.  ``wall_time`` is
+    in seconds.
     """
 
     source: str
     target: str
     accuracy: float | None
-    num_src_subspaces: int
-    num_tgt_subspaces: int
     source_fit: FitSummary | None
     target_fit: FitSummary | None
     matching: Matching | None
@@ -130,6 +130,14 @@ class AdaptationReport:
     config: AdaptationConfig
     wall_time: float
     stage_seconds: dict[str, float]
+
+    @property
+    def num_src_subspaces(self) -> int:
+        return 0 if self.source_fit is None else len(self.source_fit.ranks)
+
+    @property
+    def num_tgt_subspaces(self) -> int:
+        return 0 if self.target_fit is None else len(self.target_fit.ranks)
 
     def to_dict(self) -> dict:
         return {
@@ -283,8 +291,6 @@ def adapt(
         source=source_name,
         target=target_name,
         accuracy=accuracy,
-        num_src_subspaces=0 if source_fit is None else len(source_fit.ranks),
-        num_tgt_subspaces=0 if target_fit is None else len(target_fit.ranks),
         source_fit=source_fit,
         target_fit=target_fit,
         matching=matching,

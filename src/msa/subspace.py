@@ -1,10 +1,11 @@
 """Orthonormal subspaces, truncated PCA and per-sample reconstruction error.
 
 Samples are row vectors throughout: a dataset is an (N, d) array and a basis
-is a (d, r) matrix with orthonormal columns.  Every subspace carries the mean
-of the samples it was fitted on.  ``reconstruction_errors`` scores centred
-samples and returns the coordinates (x - mean)^T B it forms on the way, the
-one projection of samples into a subspace's frame.
+is a (d, r) matrix with orthonormal columns, to within the contract that
+``Subspace`` enforces (see ``ORTHONORMAL_TOL``).  Every subspace carries the
+mean of the samples it was fitted on.  ``reconstruction_errors`` scores
+centred samples from the coordinates (x - mean)^T B alone, which it returns:
+the one projection of samples into a subspace's frame.
 """
 
 from __future__ import annotations
@@ -16,7 +17,10 @@ import numpy as np
 
 from .exceptions import ConfigError, DegenerateDataError, DimensionMismatchError
 
-# Frobenius tolerance on ||B^T B - I|| for a basis to count as orthonormal.
+# The orthonormality contract: every Subspace basis B has
+# delta = ||B^T B - I||_F <= ORTHONORMAL_TOL, checked once when the Subspace
+# is built, and is read-only from then on.  Code downstream relies on it
+# instead of checking again; each use states the slack it implies.
 ORTHONORMAL_TOL = 1e-8
 
 
@@ -98,6 +102,10 @@ class FeatureMatrix:
 @dataclass(frozen=True, eq=False)
 class Subspace:
     """An r-dimensional linear subspace of R^d with its centring offset.
+
+    The basis is orthonormal to within ``ORTHONORMAL_TOL``:
+    ||B^T B - I||_F <= 1e-8, or DegenerateDataError.  It is stored as a
+    read-only copy, so the contract holds for the Subspace's lifetime.
 
     Args:
         basis: finite (d, r) matrix with orthonormal columns, 1 <= r <= d.
@@ -300,8 +308,9 @@ def reconstruction_errors(data, subspace: Subspace) -> tuple[np.ndarray, np.ndar
     """Relative squared reconstruction error and coordinates of each sample.
 
     For a centred sample x = row - mean the error is
-    ||x - B B^T x||^2 / ||x||^2, which lies in [0, 1]; a sample equal to the
-    mean reports 0.
+    ||x - B B^T x||^2 / ||x||^2, computed under the orthonormality contract
+    as 1 - ||B^T x||^2 / ||x||^2 and clipped to [0, 1]; a sample equal to
+    the mean reports 0.
 
     Args:
         data: FeatureMatrix or (N, d) array.
@@ -319,11 +328,13 @@ def reconstruction_errors(data, subspace: Subspace) -> tuple[np.ndarray, np.ndar
         )
     centred = X - subspace.mean
     coords = centred @ subspace.basis
-    # The residual overwrites the projection: one (N, d) temporary, not two.
-    proj = coords @ subspace.basis.T
-    residual = np.subtract(centred, proj, out=proj)
-    num = np.einsum("ij,ij->i", residual, residual)
+    # For c = B^T x, ||x - B c||^2 = ||x||^2 - ||c||^2 + c^T (B^T B - I) c, and
+    # under the contract |c^T (B^T B - I) c| <= delta ||c||^2
+    # <= delta (1 + delta) ||x||^2.  Dropping that term moves an error by at
+    # most delta (1 + delta), about 1e-8 (rounding adds about (d + 2 sqrt(r) d)
+    # eps, far less), and leaves no back-projection B c to form.
     den = np.einsum("ij,ij->i", centred, centred)
+    num = den - np.einsum("ij,ij->i", coords, coords)
     errors = np.zeros(centred.shape[0])
     mask = den > 0.0
     errors[mask] = num[mask] / den[mask]

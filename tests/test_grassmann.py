@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
-from msa.exceptions import DegenerateDataError, DimensionMismatchError
+from msa.exceptions import DimensionMismatchError
 from msa.grassmann import _stacked, distance_matrix
+from msa.matching import greedy_match
 from msa.multifit import fit_multi
-from msa.subspace import Subspace
+from msa.subspace import ORTHONORMAL_TOL, Subspace
+from msa.synthetic import planted_benchmark
 
 from conftest import random_orthonormal
 
@@ -26,7 +28,7 @@ def _distance(a, b):
 class TestDirectionalDistance:
     def test_identical_is_zero(self, rng):
         basis = random_orthonormal(rng, 6, 3)
-        assert _distance(_sub(basis), _sub(basis)) == pytest.approx(0.0, abs=1e-7)
+        assert _distance(_sub(basis), _sub(basis)) == 0.0
 
     def test_orthogonal_axes(self):
         e = np.eye(3)
@@ -134,15 +136,41 @@ class TestDistanceMatrix:
         with pytest.raises(DimensionMismatchError):
             distance_matrix(fs.subspaces, ft.subspaces)
 
-    def test_non_orthonormal_overlap_rejected(self, rng):
-        """A radicand below -1e-9 means the bases were not orthonormal."""
-        basis = random_orthonormal(rng, 5, 2)
+    def test_basis_at_the_contract_edge_scores_zero_against_itself(self, rng):
+        """Columns 4e-10 too long give ||B^T B - I||_F = 2.5e-9, which
+        Subspace accepts; the radicand, -1.6e-8, lies within the slack."""
+        basis = random_orthonormal(rng, 12, 10) * (1.0 + 4e-10)
+        assert np.linalg.norm(basis.T @ basis - np.eye(10)) <= ORTHONORMAL_TOL
         sub = _sub(basis)
-        # Subspace rejects such a basis, so it is swapped in after
-        # construction: columns 1e-6 too long push ||B^T B||^2 above the rank.
-        object.__setattr__(sub, "basis", basis * (1.0 + 1e-6))
-        with pytest.raises(DegenerateDataError, match="radicand"):
-            distance_matrix((sub,), (sub,))
+        assert distance_matrix((sub,), (sub,))[0][0, 0] == 0.0
+
+    def test_fit_against_itself_has_an_exactly_zero_diagonal(self):
+        fit = fit_multi(planted_benchmark(0)[0], 2, 0.3)
+        distances, _ = distance_matrix(fit.subspaces, fit.subspaces)
+        assert np.array_equal(np.diag(distances), np.zeros(len(fit)))
+        assert np.all(distances[~np.eye(len(fit), dtype=bool)] > 0.1)
+
+    def test_identical_spans_tie_to_the_lower_index(self):
+        """Two bases of one span both read 0, so greedy_match takes the
+        lower target index, in either order, not whichever rounds lower."""
+        rng = np.random.default_rng(0)
+        basis = random_orthonormal(rng, 6, 3)
+        rotated = np.linalg.qr(basis @ random_orthonormal(rng, 3, 3))[0]
+        source = (_sub(basis),)
+        for target in ((_sub(basis), _sub(rotated)), (_sub(rotated), _sub(basis))):
+            distances, _ = distance_matrix(source, target)
+            assert np.array_equal(distances, np.zeros((1, 2)))
+            assert greedy_match(distances).pairs == ((0, 0, 0.0),)
+
+    def test_slack_is_the_contract_bound(self):
+        """Two lines at angle theta have radicand sin^2 theta; with r0 = 1 the
+        slack is 2 ORTHONORMAL_TOL (1 + ORTHONORMAL_TOL), about 2e-8."""
+        slack = 2 * ORTHONORMAL_TOL * (1 + ORTHONORMAL_TOL)
+        line = _sub(np.array([[1.0], [0.0]]))
+        for radicand, expected in ((0.5 * slack, 0.0), (2 * slack, np.sqrt(2 * slack))):
+            theta = np.arcsin(np.sqrt(radicand))
+            tilted = _sub(np.array([[np.cos(theta)], [np.sin(theta)]]))
+            assert _distance(line, tilted) == pytest.approx(expected, rel=1e-6, abs=0.0)
 
     def test_one_basis_is_used_without_a_copy(self, rng):
         """A one-subspace side is its basis itself; several are stacked."""

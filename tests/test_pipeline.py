@@ -2,7 +2,7 @@
 
 import json
 import logging
-from dataclasses import asdict
+from dataclasses import asdict, fields, replace
 from unittest import mock
 
 import numpy as np
@@ -246,6 +246,22 @@ class TestAdapt:
         }
         assert payload["accuracy"] == report.accuracy
         assert list(payload["stage_seconds"])[-1] == "classify"
+
+    def test_subspace_counts_are_read_off_the_fits(self):
+        """The counts are not stored beside the fit summaries: each is the
+        length of its fit's ranks, 0 without a fit, in to_dict as before."""
+        src, tgt, _ = planted_benchmark(seed=0)
+        report = adapt(src, tgt, AdaptationConfig(k=2, tau_s=0.05, tau_t=1.0)).report
+        assert {"num_src_subspaces", "num_tgt_subspaces"}.isdisjoint(
+            f.name for f in fields(report)
+        )
+        counts = (report.num_src_subspaces, report.num_tgt_subspaces)
+        assert counts == (len(report.source_fit.ranks), len(report.target_fit.ranks))
+        assert counts[0] > 1 and counts[1] == 1
+        payload = report.to_dict()
+        assert (payload["num_src_subspaces"], payload["num_tgt_subspaces"]) == counts
+        unfitted = replace(report, source_fit=None, target_fit=None)
+        assert (unfitted.num_src_subspaces, unfitted.num_tgt_subspaces) == (0, 0)
 
     def test_numpy_typed_config_reports_as_json(self):
         src, tgt, _ = planted_benchmark(seed=0)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from msa.exceptions import ConfigError, DegenerateDataError, DimensionMismatchError
 from msa.subspace import (
+    ORTHONORMAL_TOL,
     FeatureMatrix,
     Subspace,
     _gram_spectrum,
@@ -353,6 +354,57 @@ class TestReconstructionError:
         X = rng.normal(size=(20, 3))
         sub = fit_pca(X, 3)
         assert np.all(reconstruction_errors(X, sub)[0] < 1e-15)
+
+
+# How far reconstruction_errors, 1 - ||B^T x||^2 / ||x||^2, may lie from the
+# residual form ||x - B B^T x||^2 / ||x||^2 for a basis B that meets the
+# orthonormality contract.  The two differ by c^T (B^T B - I) c / ||x||^2
+# with c = B^T x, at most delta (1 + delta) for delta = ||B^T B - I||_F <=
+# ORTHONORMAL_TOL.  Rounding of both forms adds about (d + 2 sqrt(r) d) eps
+# < 2e-13 for the d <= 16 drawn here, pinned at 1e-12.
+ERRORS_ATOL = ORTHONORMAL_TOL * (1 + ORTHONORMAL_TOL) + 1e-12
+
+
+@st.composite
+def _contract_basis(draw):
+    """A Subspace whose basis is orthonormal, or off by up to the contract.
+
+    B = Q (I + S) with Q orthonormal and S symmetric has B^T B - I = 2 S + S^2,
+    so scaling ||S||_F to just under ORTHONORMAL_TOL / 2 puts the basis at
+    the tolerance edge.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(2, 16))
+    r = draw(st.integers(1, d))
+    basis = random_orthonormal(rng, d, r)
+    edge = draw(st.sampled_from([0.0, 0.5, 0.99]))
+    if edge:
+        sym = rng.normal(size=(r, r))
+        sym += sym.T
+        basis = basis @ (np.eye(r) + sym * (edge * ORTHONORMAL_TOL / 2 / np.linalg.norm(sym)))
+    return Subspace(basis, rng.normal(size=d)), rng
+
+
+def _residual_form(X, sub):
+    centred = X - sub.mean
+    residual = centred - (centred @ sub.basis) @ sub.basis.T
+    return np.clip(np.sum(residual**2, axis=1) / np.sum(centred**2, axis=1), 0.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_contract_basis())
+def test_errors_match_the_residual_form_under_the_contract(drawn):
+    """Random samples score within ERRORS_ATOL of the residual form, and
+    samples in the span score in [0, ERRORS_ATOL], at any basis the
+    contract admits."""
+    sub, rng = drawn
+    d, r = sub.basis.shape
+    X = sub.mean + rng.normal(size=(20, d)) * rng.uniform(0.1, 10.0, size=(20, 1))
+    errors, _ = reconstruction_errors(X, sub)
+    assert np.all(np.abs(errors - _residual_form(X, sub)) <= ERRORS_ATOL)
+    in_span = sub.mean + rng.normal(size=(20, r)) @ sub.basis.T
+    errors, _ = reconstruction_errors(in_span, sub)
+    assert np.all((errors >= 0.0) & (errors <= ERRORS_ATOL))
 
 
 class TestProject:
