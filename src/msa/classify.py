@@ -17,14 +17,16 @@ block of G is held.  Blocking pays only while the width d is below h, since
 each block's product reads all of the training rows again.  For d >= h, or
 a G of at most 32 MiB, all test rows form one block, the whole N_test x
 N_train G.  The bound does not depend on the blocking, so the labels are
-exactly ``cdist``'s either way."""
+exactly ``cdist``'s either way.
+
+scipy is imported by the first near tie, not with this module: ``import
+msa`` loads numpy alone, and most inputs never have a near tie."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .exceptions import ConfigError, DegenerateDataError, DimensionMismatchError
 from .subspace import FeatureMatrix, _integer_labels
@@ -39,6 +41,13 @@ _BLOCK_BYTES = 2 << 20
 # G, and blocks ran 19-35% faster (34.6-57.6 MB).  Measured on a 2-core Xeon
 # with OpenBLAS at widths 20-100.
 _MAX_WHOLE_BYTES = 32 << 20
+
+
+def cdist(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:
+    """``scipy.spatial.distance.cdist``, imported on the first call."""
+    from scipy.spatial import distance
+
+    return distance.cdist(a, b, metric)
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,7 +8,8 @@ Two feature-file formats are supported and auto-detected:
   skipped) when, with its comment removed, it contains any token that does
   not parse as a number.
 * Binary: magic bytes ``MSA1``, then N and d as little-endian uint32 (both
-  at least 1), then N * d little-endian float64 values in row-major order.
+  at least 1), then N * d little-endian float64 values in row-major order,
+  and nothing after them.
 
 A label file holds one integer per line, aligned with the feature rows.
 Text files are read as UTF-8; a leading byte-order mark is skipped.
@@ -21,6 +22,7 @@ names the feature type (for example ``surf`` or ``decaf``).
 from __future__ import annotations
 
 import itertools
+import os
 import struct
 import warnings
 from pathlib import Path
@@ -113,24 +115,28 @@ def _raise_bad_line(path: Path, skip: int) -> NoReturn:
 
 
 def _load_binary(path: Path) -> np.ndarray:
-    raw = path.read_bytes()
     header = struct.calcsize("<4sII")
-    if len(raw) < header:
-        raise DataFileError("truncated header", path=path)
-    magic, n, d = struct.unpack_from("<4sII", raw)
-    if magic != MAGIC:
-        raise DataFileError(f"bad magic bytes {magic!r}", path=path)
-    if n == 0 or d == 0:
-        raise DataFileError(f"header declares {n} x {d} samples; no data", path=path)
-    expected = header + n * d * 8
-    if len(raw) != expected:
+    with open(path, "rb") as fh:
+        head = fh.read(header)
+        if len(head) < header:
+            raise DataFileError("truncated header", path=path)
+        magic, n, d = struct.unpack("<4sII", head)
+        if magic != MAGIC:
+            raise DataFileError(f"bad magic bytes {magic!r}", path=path)
+        if n == 0 or d == 0:
+            raise DataFileError(f"header declares {n} x {d} samples; no data", path=path)
+        expected, size = header + n * d * 8, os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise DataFileError(
+                f"expected {expected} bytes for {n} x {d} float64 samples, got {size}",
+                path=path,
+            )
+        data = np.fromfile(fh, dtype="<f8", count=n * d)
+    if data.size != n * d:
         raise DataFileError(
-            f"expected {expected} bytes for {n} x {d} float64 samples, "
-            f"got {len(raw)}",
-            path=path,
+            f"expected {n * d} float64 values, read {data.size}", path=path
         )
-    data = np.frombuffer(raw, dtype="<f8", count=n * d, offset=header)
-    data = data.reshape(n, d).astype(np.float64)
+    data = data.reshape(n, d).astype(np.float64, copy=False)
     if not np.all(np.isfinite(data)):
         raise DataFileError("file contains non-finite values", path=path)
     return data

@@ -23,7 +23,7 @@ import numpy as np
 from . import io
 from .alignment import build_features
 from .classify import PredictionResult, evaluate_accuracy, nn_classify
-from .exceptions import ConfigError, DataFileError, MSAError
+from .exceptions import ConfigError, DataFileError, DimensionMismatchError, MSAError
 from .grassmann import distance_matrix
 from .matching import Matching, greedy_match
 from .multifit import SubspaceCollection, _check_fit_settings, fit_multi
@@ -250,7 +250,7 @@ def adapt(
     if source.labels is None:
         raise ConfigError("source domain must carry labels")
     if source.n_features != target.n_features:
-        raise ConfigError(
+        raise DimensionMismatchError(
             f"domains disagree on the feature dimension "
             f"({source.n_features} vs {target.n_features})"
         )

@@ -8,7 +8,7 @@ import pytest
 
 from msa import AdaptationConfig
 from msa.cli import main
-from msa.io import save_features_csv, save_labels
+from msa.io import load_features, save_features_csv, save_labels
 from msa.pipeline import adapt, report_to_json
 from msa.synthetic import planted_benchmark
 
@@ -107,6 +107,13 @@ class TestAdaptCommand:
             paths = dict(pair_files, **{key: short})
             assert main(_adapt_argv(paths)) == 2
             assert str(short) in capsys.readouterr().err
+
+    def test_mismatched_widths_exit_2(self, pair_files, capsys):
+        """Domains of different widths are a data problem, not a configuration one."""
+        narrow = load_features(pair_files["tgt"])[:, :-1]
+        save_features_csv(pair_files["tgt"], narrow)
+        assert main(_adapt_argv(pair_files)) == 2
+        assert "feature dimension (8 vs 7)" in capsys.readouterr().err
 
     def test_bad_method_exits_3(self, pair_files, capsys):
         assert main(_adapt_argv(pair_files, "--method", "magic")) == 3

@@ -120,6 +120,8 @@ class TestBinary:
         save_features_binary(path, data)
         loaded = load_features(path)
         assert np.array_equal(loaded, data)
+        assert loaded.dtype == np.float64 and loaded.dtype.isnative
+        assert loaded.flags.c_contiguous and loaded.flags.writeable
 
     def test_truncated_payload_rejected(self, rng, tmp_path):
         path = tmp_path / "feat.bin"
@@ -127,6 +129,28 @@ class TestBinary:
         raw = path.read_bytes()
         path.write_bytes(raw[:-8])
         with pytest.raises(DataFileError):
+            load_features(path)
+
+    def test_trailing_bytes_rejected(self, rng, tmp_path):
+        """Bytes after the N * d values mean the header does not fit the file."""
+        path = tmp_path / "feat.bin"
+        save_features_binary(path, rng.normal(size=(4, 3)))
+        path.write_bytes(path.read_bytes() + b"\x00" * 8)
+        with pytest.raises(DataFileError, match="feat.bin.*expected 108 bytes.*got 116"):
+            load_features(path)
+
+    def test_header_cut_after_magic_rejected(self, tmp_path):
+        path = tmp_path / "feat.bin"
+        path.write_bytes(b"MSA1\x04\x00")
+        with pytest.raises(DataFileError, match="feat.bin.*truncated header"):
+            load_features(path)
+
+    def test_non_finite_payload_rejected(self, rng, tmp_path):
+        data = rng.normal(size=(4, 3))
+        data[2, 1] = np.inf
+        path = tmp_path / "feat.bin"
+        save_features_binary(path, data)
+        with pytest.raises(DataFileError, match="feat.bin.*non-finite"):
             load_features(path)
 
     @pytest.mark.parametrize("shape", [(0, 5), (4, 0), (0, 0)])

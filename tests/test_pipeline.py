@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from msa import multifit, pipeline
-from msa.exceptions import ConfigError
+from msa.exceptions import ConfigError, DimensionMismatchError
 from msa.io import save_features_csv, save_labels
 from msa.pipeline import (
     GRID_CAVEAT,
@@ -193,7 +193,7 @@ class TestAdapt:
     def test_feature_dim_mismatch_rejected(self, rng):
         src = FeatureMatrix(rng.normal(size=(10, 4)), rng.integers(0, 2, 10))
         tgt = FeatureMatrix(rng.normal(size=(10, 5)))
-        with pytest.raises(ConfigError):
+        with pytest.raises(DimensionMismatchError, match=r"feature dimension \(4 vs 5\)"):
             adapt(src, tgt, AdaptationConfig(k=2))
 
     def test_stage_errors_name_the_stage(self, rng):
