@@ -23,6 +23,10 @@ from .subspace import (
     reconstruction_errors,
 )
 
+# Rows per block that _fittable compares with a pool's first row: at
+# d = 4096 a block copies 2 MiB.
+_CHECK_ROWS = 64
+
 
 def _check_fit_settings(**settings) -> None:
     """Raise ConfigError unless the decomposition settings are in range.
@@ -98,9 +102,21 @@ class SubspaceCollection:
         return len(self.subspaces)
 
 
-def _fittable(pool: np.ndarray) -> bool:
-    """Whether a pool can support a PCA fit: >= 2 samples, not all identical."""
-    return pool.shape[0] >= 2 and bool(np.any(pool != pool[0]))
+def _fittable(pool: np.ndarray, rows: np.ndarray) -> bool:
+    """Whether ``pool[rows]`` can support a PCA fit: >= 2 samples, not all identical.
+
+    ``rows`` is a boolean mask.  The rows are compared with the first of
+    them a block at a time, so no copy of all of them is made, and the
+    check stops at the first block holding a different row.
+    """
+    picked = np.flatnonzero(rows)
+    if picked.size < 2:
+        return False
+    first = pool[picked[0]]
+    for lo in range(1, picked.size, _CHECK_ROWS):
+        if np.any(pool[picked[lo:lo + _CHECK_ROWS]] != first):
+            return True
+    return False
 
 
 def _first_round(data: FeatureMatrix, k: int) -> tuple[Subspace, np.ndarray, np.ndarray]:
@@ -192,16 +208,17 @@ def fit_multi(data, k: int, tau: float, max_subspaces: int = 16) -> SubspaceColl
         if (
             len(rounds) < max_subspaces - 1
             and np.count_nonzero(outliers) >= k
-            and _fittable(pool[outliers])
+            and _fittable(pool, outliers)
         ):
             tau_eff = relax(errors, tau, k) if outliers.all() else tau
-            refit_pool = pool[errors < tau_eff]
-            if _fittable(refit_pool):
-                base = fit_pca(refit_pool, min(k, refit_pool.shape[0]))
+            inliers = errors < tau_eff
+            if _fittable(pool, inliers):
+                # The refit's copy of its rows is freed before the scoring
+                # below allocates its own centred copy of the pool.
+                base = fit_pca(pool[inliers], min(k, np.count_nonzero(inliers)))
                 errors, coords = reconstruction_errors(pool, base)
             keep = errors < relax(errors, tau_eff, 1)
-            rest_pool = pool[~keep]
-            if not _fittable(rest_pool):
+            if not _fittable(pool, ~keep):
                 keep[:] = True
 
         assignment[remaining[keep]] = len(rounds)
@@ -209,7 +226,7 @@ def fit_multi(data, k: int, tau: float, max_subspaces: int = 16) -> SubspaceColl
         if keep.all():
             break
         remaining = remaining[~keep]
-        pool = rest_pool
+        pool = pool[~keep]
         base = fit_pca(pool, min(k, pool.shape[0]))
         errors, coords = reconstruction_errors(pool, base)
 

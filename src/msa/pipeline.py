@@ -208,7 +208,10 @@ def load_domain(feature_path, label_path=None, normalize: bool = False) -> Featu
             )
     if normalize:
         data = zscore(data)
-    return FeatureMatrix(data, labels)
+    # The array is this call's own, so it is kept rather than copied: a
+    # second N x d allocation per domain, freed at once, leaves a hole in
+    # the heap whose reuse varied the peak memory from input to input.
+    return FeatureMatrix(data, labels, copy=False)
 
 
 def _run_stage(stage_seconds: dict[str, float], name: str, fn, *args):

@@ -10,7 +10,7 @@ the one projection of samples into a subspace's frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -53,10 +53,15 @@ class FeatureMatrix:
         data: array-like of shape (N, d), one row per sample.  Copied and
             kept read-only; every entry must be finite.
         labels: optional length-N integer labels.
+        copy: with False, a C-contiguous float64 ``data`` array is kept
+            itself and made read-only in place, for a caller that hands over
+            an array it made and will not write to; any other ``data`` is
+            still copied.
     """
 
     data: np.ndarray
     labels: np.ndarray | None = None
+    copy: InitVar[bool] = True
     # The data is read-only, so neither memo ever goes stale.  The Gram
     # spectrum of all of ``data``, filled by the first ``fit_pca`` of it:
     _spectrum: _GramSpectrum | None = field(default=None, init=False, repr=False)
@@ -66,8 +71,9 @@ class FeatureMatrix:
         default_factory=dict, init=False, repr=False
     )
 
-    def __post_init__(self):
-        data = np.array(self.data, dtype=np.float64, order="C")
+    def __post_init__(self, copy: bool):
+        convert = np.array if copy else np.asarray
+        data = convert(self.data, dtype=np.float64, order="C")
         if data.ndim != 2:
             raise DimensionMismatchError(
                 f"feature matrix must be 2-d, got shape {data.shape}"

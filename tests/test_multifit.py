@@ -1,5 +1,6 @@
 """Greedy decomposition of a dataset into a union of subspaces."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -69,6 +70,46 @@ class TestSubspaceCollection:
         ):
             with pytest.raises(DimensionMismatchError):
                 SubspaceCollection(subspaces=(sub, sub), assignment=assignment, coords=coords)
+
+
+class TestFittable:
+    """``_fittable`` checks the masked rows a block at a time instead of copying them all."""
+
+    def test_needs_two_rows(self):
+        pool = np.array([[0.0, 1.0], [2.0, 3.0]])
+        assert not multifit._fittable(pool, np.array([True, False]))
+        assert not multifit._fittable(pool, np.array([False, False]))
+        assert multifit._fittable(pool, np.array([True, True]))
+
+    def test_reads_only_the_masked_rows(self):
+        pool = np.array([[1.0, 2.0], [5.0, 5.0], [1.0, 2.0], [1.0, 2.0]])
+        assert not multifit._fittable(pool, np.array([True, False, True, True]))
+        assert multifit._fittable(pool, np.array([True, True, False, False]))
+
+    @pytest.mark.parametrize("odd", [1, multifit._CHECK_ROWS, multifit._CHECK_ROWS + 1, 199])
+    def test_finds_a_different_row_in_any_block(self, odd):
+        pool = np.ones((200, 3))
+        pool[odd, 2] = 2.0
+        rows = np.ones(200, dtype=bool)
+        assert multifit._fittable(pool, rows)
+        rows[odd] = False
+        assert not multifit._fittable(pool, rows)
+
+    def test_signed_zeros_are_identical(self):
+        # ``!=`` counts -0.0 and 0.0 as equal; so must the column extremes.
+        pool = np.array([[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0]])
+        assert not multifit._fittable(pool, np.ones(3, dtype=bool))
+
+    def test_rows_are_not_copied(self, rng):
+        pool = rng.normal(size=(2000, 100))
+        rows = rng.random(2000) < 0.9
+        tracemalloc.start()
+        try:
+            assert multifit._fittable(pool, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < pool.nbytes / 10
 
 
 class TestFitMulti:

@@ -10,13 +10,14 @@ import pytest
 
 from msa import multifit, pipeline
 from msa.exceptions import ConfigError, DimensionMismatchError
-from msa.io import save_features_csv, save_labels
+from msa.io import save_features_binary, save_features_csv, save_labels
 from msa.pipeline import (
     GRID_CAVEAT,
     AdaptationConfig,
     adapt,
     default_grid,
     format_table,
+    load_domain,
     report_to_json,
     run_benchmark,
     zscore,
@@ -322,6 +323,34 @@ class TestAdapt:
         payload = report.to_dict()
         assert (payload["source_fit"], payload["target_fit"], payload["matching"]) == (None, None, None)
         assert payload["feature_dim"] == src.n_features
+
+
+class TestLoadDomain:
+    def test_keeps_the_loaded_array(self, tmp_path, rng):
+        """The freshly read array becomes the FeatureMatrix's data, uncopied."""
+        X = rng.normal(size=(6, 3))
+        save_features_binary(tmp_path / "a.bin", X)
+        save_labels(tmp_path / "a.labels", np.arange(6))
+        loaded = []
+        real = pipeline.io.load_features
+
+        def spy(path):
+            loaded.append(real(path))
+            return loaded[-1]
+
+        with mock.patch.object(pipeline.io, "load_features", spy):
+            fm = load_domain(tmp_path / "a.bin", tmp_path / "a.labels")
+        assert fm.data is loaded[0]
+        assert np.array_equal(fm.data, X)
+        assert not fm.data.flags.writeable
+        assert np.array_equal(fm.labels, np.arange(6))
+
+    def test_normalized_data_is_read_only(self, tmp_path, rng):
+        X = rng.normal(size=(6, 3)) * 4.0 + 1.0
+        save_features_csv(tmp_path / "a.csv", X)
+        fm = load_domain(tmp_path / "a.csv", normalize=True)
+        assert np.allclose(fm.data, zscore(X))
+        assert not fm.data.flags.writeable
 
 
 class TestZscore:

@@ -35,6 +35,29 @@ class TestFeatureMatrix:
         with pytest.raises(ValueError):
             fm.data[0, 0] = 9.0
 
+    def test_copy_false_keeps_a_float64_array(self):
+        raw = np.arange(6.0).reshape(3, 2)
+        fm = FeatureMatrix(raw, copy=False)
+        assert fm.data is raw
+        assert not raw.flags.writeable
+
+    @pytest.mark.parametrize(
+        "raw",
+        [np.arange(6).reshape(3, 2), np.asfortranarray(np.arange(6.0).reshape(3, 2))],
+        ids=["int", "fortran-order"],
+    )
+    def test_copy_false_still_copies_what_it_must_convert(self, raw):
+        fm = FeatureMatrix(raw, copy=False)
+        assert not np.shares_memory(fm.data, raw)
+        assert raw.flags.writeable
+        assert fm.data.dtype == np.float64 and fm.data.flags.c_contiguous
+
+    def test_copy_false_checks_before_freezing(self):
+        raw = np.array([[0.0, np.nan], [1.0, 2.0]])
+        with pytest.raises(DegenerateDataError):
+            FeatureMatrix(raw, copy=False)
+        assert raw.flags.writeable
+
     def test_shape_properties(self):
         fm = FeatureMatrix(np.zeros((5, 3)))
         assert fm.n_samples == 5
