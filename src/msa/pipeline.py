@@ -182,7 +182,9 @@ def zscore(data: np.ndarray) -> np.ndarray:
     mean = np.where(constant, top, arr.mean(axis=0))
     std = arr.std(axis=0)
     std = np.where(constant | (std == 0.0), 1.0, std)
-    return (arr - mean) / std
+    centred = arr - mean
+    centred /= std  # in place: the same values as (arr - mean) / std
+    return centred
 
 
 def load_domain(feature_path, label_path=None, normalize: bool = False) -> FeatureMatrix:

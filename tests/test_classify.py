@@ -1,5 +1,6 @@
 """Nearest-neighbour classification and accuracy scoring."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -52,6 +53,25 @@ def block_rows(monkeypatch):
 
     monkeypatch.setattr(msa.classify.np, "matmul", counting)
     return rows
+
+
+@pytest.fixture
+def screens(monkeypatch):
+    """Record the dtype and test rows of each block product nn_classify
+    forms: float32 for stage 1, float64 for stage 2."""
+    calls = []
+    matmul = np.matmul
+
+    def counting(x, y, *args, **kwargs):
+        calls.append((x.dtype.name, x.shape[0]))
+        return matmul(x, y, *args, **kwargs)
+
+    monkeypatch.setattr(msa.classify.np, "matmul", counting)
+    return calls
+
+
+# _MAX_FLOAT32_WIDTH values that force stage 1 off, and on at every width.
+FLOAT64_ONLY, FLOAT32_FIRST = 0, np.iinfo(np.intp).max
 
 
 def _use_blocks(patch, n_train, height):
@@ -248,8 +268,168 @@ def test_matches_cdist_argmin_in_blocks(problem):
         assert np.array_equal(_nearest(train, test), _cdist_nearest(train, test))
 
 
+@pytest.mark.parametrize("float32_width", [FLOAT64_ONLY, FLOAT32_FIRST], ids=["float64", "float32"])
+@settings(max_examples=300, deadline=None)
+@given(problem=_tied_problem())
+def test_matches_cdist_argmin_with_stage_1_forced(float32_width, problem):
+    """The differential with stage 1 forced off, and forced on whatever the
+    width, whole and in blocks."""
+    train, test = problem
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(msa.classify, "_MAX_FLOAT32_WIDTH", float32_width)
+        assert np.array_equal(_nearest(train, test), _cdist_nearest(train, test))
+        _use_blocks(patch, train.shape[0], train.shape[1] + 1)
+        assert np.array_equal(_nearest(train, test), _cdist_nearest(train, test))
+
+
+@st.composite
+def _wide_problem(draw):
+    """Gaussian rows up to 300 wide, some training rows repeated or moved
+    by 1e-12, test rows drawn near training rows, all at one scale."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 300))
+    n_train, n_test = draw(st.integers(1, 40)), draw(st.integers(1, 20))
+    train = rng.standard_normal((n_train, d))
+    twins = rng.integers(0, n_train, size=n_train // 3)
+    train = np.vstack([train, train[twins] + draw(st.sampled_from([0.0, 1e-12]))])
+    test = train[rng.integers(0, train.shape[0], size=n_test)]
+    test = test + draw(st.sampled_from([0.0, 1e-9, 0.1])) * rng.standard_normal(test.shape)
+    scale = 2.0 ** draw(st.integers(-60, 60))
+    return train * scale, test * scale
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=_wide_problem())
+def test_wide_rows_match_cdist_argmin(problem):
+    """Stage 1 forced on for widths up to 300, against cdist."""
+    train, test = problem
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(msa.classify, "_MAX_FLOAT32_WIDTH", FLOAT32_FIRST)
+        assert np.array_equal(_nearest(train, test), _cdist_nearest(train, test))
+
+
+class TestFloat32Screen:
+    """Stage 1 settles what its bound proves; stage 2 gets every other row."""
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_bound_counts_the_input_rounding(self, screens, fallback_rows, d):
+        """Scaled S = 1/4 and half-gaps of k 2^-25: the bound 4 (d + 3)
+        eps32 S is 4 (d + 3) such steps, without the input-rounding term
+        4 (d + 2).  A gap between the two goes to stage 2, which settles it
+        (its float64 bound is 1e-15), and a gap just over it settles in
+        stage 1."""
+        both, first = [("float32", 1), ("float64", 1)], [("float32", 1)]
+        for k, stages in ((4 * (d + 2) + 2, both), (4 * (d + 3) + 2, first)):
+            screens.clear()
+            train = np.zeros((2, d))
+            train[:, 0] = [0.5, -(0.5 + k * 2.0**-24)]
+            test = np.zeros((1, d))
+            assert np.array_equal(_nearest(train, test), [0])
+            assert screens == stages
+        assert fallback_rows == []
+
+    def test_rounded_inputs_that_reverse_the_order(self, screens, fallback_rows):
+        """Rounded to float32, the test point and the far row both move to
+        round numbers, which puts row 0 ahead; in float64 row 1 is nearer."""
+        ulp = 2.0**-23
+        train = np.array([[1e-8], [2.0 - 0.2 * ulp]])
+        test = np.array([[1.0 + 0.45 * ulp]])
+        best, unsettled = msa.classify._screen_float32(test, train)
+        assert best.tolist() == [0] and unsettled.tolist() == [True]
+        screens.clear()
+        assert _nearest(train, test).tolist() == [1] == _cdist_nearest(train, test).tolist()
+        assert screens == [("float32", 1), ("float64", 1)]
+        assert fallback_rows == []
+
+    @pytest.mark.parametrize("exponent", [-200, 200])
+    def test_power_of_two_scales_keep_labels_and_stages(self, rng, screens, fallback_rows, exponent):
+        """Times 2^j the float32 copies are the same, so each stage sees the
+        same rows; near ties and exact lattice ties included."""
+        lattice = np.array([[i, j] for i in range(4) for j in range(4)], dtype=float)
+        train = np.vstack([lattice, lattice[:5] + 1e-12, rng.normal(size=(20, 2))])
+        test = np.vstack([lattice + [0.5, 0.0], rng.normal(size=(30, 2)), lattice[:5]])
+        nearest = _nearest(train, test)
+        stages, fallen = list(screens), list(fallback_rows)
+        screens.clear()
+        fallback_rows.clear()
+        scale = 2.0**exponent
+        assert np.array_equal(_nearest(train * scale, test * scale), nearest)
+        assert np.array_equal(nearest, _cdist_nearest(train, test))
+        assert (screens, fallback_rows) == (stages, fallen)
+        assert stages[0] == ("float32", test.shape[0]) and len(stages) == 2
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_rows_that_underflow_in_float32_go_on(self, rng, screens, d):
+        """Next to a row of 0.75, rows of about 2^-73 form products below
+        float32's smallest normal number, whose rounding can reverse two
+        candidates; the tiny32 term leaves all of them to stage 2 (and
+        the row of 0.75 ties between training rows that all lie near 0)."""
+        train = rng.normal(size=(30, d)) * 2.0**-73
+        test = np.vstack([np.full((1, d), 0.75), rng.normal(size=(300, d)) * 2.0**-73])
+        assert np.array_equal(_nearest(train, test), _cdist_nearest(train, test))
+        assert screens == [("float32", 301), ("float64", 301)]
+
+    @pytest.mark.parametrize("scale", [2.0**-410, 2.0**410])
+    def test_extreme_scales_skip_stage_1(self, rng, screens, scale):
+        """Past 2^+-400, cdist itself may overflow or underflow, which the
+        float32 bound does not cover; those inputs start in float64."""
+        train = rng.normal(size=(20, 3)) * scale
+        test = rng.normal(size=(15, 3)) * scale
+        assert np.array_equal(_nearest(train, test), _cdist_nearest(train, test))
+        assert screens[0][0] == "float64"
+
+    def test_width_rule(self, rng, screens):
+        """Rows of up to 1024 numbers start in float32, wider ones (DeCAF's
+        4096 among them) in float64."""
+        width = msa.classify._MAX_FLOAT32_WIDTH
+        assert width == 1024
+        for d, first in ((width, "float32"), (width + 1, "float64")):
+            screens.clear()
+            train = rng.normal(size=(6, d))
+            _nearest(train, train[::-1] + 0.01)
+            assert screens[0] == (first, 6)
+
+    def test_blocks_by_float32_bytes_while_g_exceeds_the_float64_line(self, rng, screens):
+        """A 2000 x 2400 G at d = 20 is 19.2 MB in float32, under the 32 MiB
+        line, but 38.4 MB in float64, so it is blocked: 218 rows, 2 MiB of
+        float32 over 2400 training rows.  Stage 2 then takes the few rows
+        left unsettled whole."""
+        train = rng.normal(size=(2400, 20))
+        test = rng.normal(size=(2000, 20))
+        assert np.array_equal(_nearest(train, test), _cdist_nearest(train, test))
+        assert screens[:10] == [("float32", 218)] * 9 + [("float32", 38)]
+        left = screens[10:]
+        assert len(left) <= 1 and all(dtype == "float64" and rows < 100 for dtype, rows in left)
+
+    def test_holds_one_float32_block_and_the_two_copies(self, rng):
+        """Peak traced memory of that call: the float32 copies of both
+        inputs (352 kB), one 2 MiB block, and vectors of n_test or n_train
+        entries (113 kB with numpy 2.4).  A scaled float64 copy of either
+        input (320 or 384 kB) held beside the block would overrun it."""
+        train = rng.normal(size=(2400, 20))
+        test = FeatureMatrix(rng.normal(size=(2000, 20)))
+        train = FeatureMatrix(train, np.arange(2400))
+        nn_classify(train, test)  # warm up
+        tracemalloc.start()
+        try:
+            nn_classify(train, test)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        copies = 4 * (2000 + 2400) * 20
+        block = 4 * 218 * 2400
+        assert block < peak <= copies + block + (256 << 10)
+
+
 class TestBlocks:
-    """Blocking the test rows changes neither the labels nor the fallback."""
+    """Blocking the test rows changes neither the labels nor the fallback.
+
+    These tests count the float64 screen's blocks, so stage 1 is off;
+    TestFloat32Screen counts its blocks."""
+
+    @pytest.fixture(autouse=True)
+    def _float64_only(self, monkeypatch):
+        monkeypatch.setattr(msa.classify, "_MAX_FLOAT32_WIDTH", FLOAT64_ONLY)
 
     def test_ties_straddling_block_edges_go_to_lowest_index(
         self, rng, monkeypatch, fallback_rows, block_rows

@@ -58,6 +58,19 @@ def test_adapt_without_near_tie_loads_no_scipy():
     assert result["scipy"] == []
 
 
+def test_fitting_loads_no_numpy_ma():
+    """A subspace collection checks its assignment without np.unique, which
+    imports numpy.ma (about 15 ms)."""
+    loaded = _run("""
+        import json, sys
+        from msa import AdaptationConfig, adapt, planted_benchmark
+        src, tgt, _ = planted_benchmark(seed=0)
+        adapt(src, tgt, AdaptationConfig(k=2, tau_s=0.3, tau_t=0.3))
+        print(json.dumps([m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")]))
+    """)
+    assert loaded == []
+
+
 def test_near_tie_imports_cdist_and_returns_its_argmin():
     """Duplicate training rows with different labels tie exactly; the lowest
     training index wins, as in cdist's argmin."""

@@ -1,5 +1,6 @@
 """Greedy decomposition of a dataset into a union of subspaces."""
 
+import re
 import tracemalloc
 from unittest import mock
 
@@ -58,6 +59,18 @@ class TestSubspaceCollection:
                 SubspaceCollection(
                     subspaces=(sub,), assignment=np.array(assignment), coords=(np.zeros((2, 2)),)
                 )
+
+    @pytest.mark.parametrize("assignment, present", [
+        ([0, 0, 0], "[0]"), ([0, 2, 1], "[0, 1, 2]"), ([1, -1], "[-1, 1]"), ([], "[]"),
+    ])
+    def test_error_names_the_positions_present(self, rng, assignment, present):
+        sub = Subspace(random_orthonormal(rng, 4, 2), np.zeros(4))
+        message = f"every position 0..1 and no other value, got {present}"
+        with pytest.raises(DegenerateDataError, match=re.escape(message)):
+            SubspaceCollection(
+                subspaces=(sub, sub), assignment=np.array(assignment, dtype=int),
+                coords=(np.zeros((1, 2)), np.zeros((1, 2))),
+            )
 
     def test_coords_shape_checked(self, rng):
         """Each coordinate block must be (samples assigned, subspace rank)."""

@@ -26,6 +26,17 @@ from msa.subspace import FeatureMatrix, fit_pca
 from msa.synthetic import planted_benchmark
 
 
+# NA, SA and two proposed configs, run on planted seeds 0-9 by the tests of
+# what a change to the inputs may and may not move.
+PLANTED_CONFIGS = [
+    AdaptationConfig(k=2, method="na"),
+    AdaptationConfig(k=2, method="sa"),
+    AdaptationConfig(k=2, tau_s=0.3, tau_t=0.3),
+    AdaptationConfig(k=2, tau_s=0.2, tau_t=0.5),
+]
+PLANTED_IDS = ["na", "sa", "tau-0.3", "tau-0.2-0.5"]
+
+
 class TestAdaptationConfig:
     def test_method_case_insensitive(self):
         assert AdaptationConfig(k=2, method="SA").method == "sa"
@@ -162,12 +173,7 @@ class TestAdapt:
         config = report.to_dict()["config"]
         assert (config["tau_s"], config["tau_t"], config["max_subspaces"]) == (1.0, 1.0, 1)
 
-    @pytest.mark.parametrize("config", [
-        AdaptationConfig(k=2, method="na"),
-        AdaptationConfig(k=2, method="sa"),
-        AdaptationConfig(k=2, tau_s=0.3, tau_t=0.3),
-        AdaptationConfig(k=2, tau_s=0.2, tau_t=0.5),
-    ], ids=["na", "sa", "tau-0.3", "tau-0.2-0.5"])
+    @pytest.mark.parametrize("config", PLANTED_CONFIGS, ids=PLANTED_IDS)
     def test_target_row_permutation_permutes_predictions(self, config):
         for seed in range(10):
             src, tgt, _ = planted_benchmark(seed=seed)
@@ -178,6 +184,34 @@ class TestAdapt:
             assert np.array_equal(moved.prediction.predictions, base.prediction.predictions[perm])
             assert moved.report.accuracy == base.report.accuracy
             assert moved.report.num_tgt_subspaces == base.report.num_tgt_subspaces
+
+    @pytest.mark.parametrize("config", PLANTED_CONFIGS, ids=PLANTED_IDS)
+    def test_power_of_two_scale_keeps_predictions(self, config):
+        """Both domains times 2^j: a power of two scales without rounding,
+        so no step may change a prediction."""
+        for seed in range(10):
+            src, tgt, _ = planted_benchmark(seed=seed)
+            base = adapt(src, tgt, config).prediction.predictions
+            for j in (-7, 3, 40):
+                scale = 2.0**j
+                moved = adapt(
+                    FeatureMatrix(src.data * scale, src.labels),
+                    FeatureMatrix(tgt.data * scale, tgt.labels),
+                    config,
+                )
+                assert np.array_equal(moved.prediction.predictions, base), (seed, j)
+
+    @pytest.mark.parametrize("config", PLANTED_CONFIGS, ids=PLANTED_IDS)
+    def test_source_row_permutation_keeps_predictions(self, config):
+        """Planted sources have no exact 1-NN ties, so the order of the
+        source rows does not choose a neighbour."""
+        for seed in range(10):
+            src, tgt, _ = planted_benchmark(seed=seed)
+            perm = np.random.default_rng(seed).permutation(src.n_samples)
+            shuffled = FeatureMatrix(src.data[perm], src.labels[perm])
+            base = adapt(src, tgt, config)
+            moved = adapt(shuffled, tgt, config)
+            assert np.array_equal(moved.prediction.predictions, base.prediction.predictions), seed
 
     def test_unlabeled_target_scores_nothing(self):
         src, tgt, _ = planted_benchmark(seed=0)
@@ -365,6 +399,16 @@ class TestZscore:
         Z = zscore(X)
         assert np.allclose(Z[:, 1], 0.0)
         assert np.isfinite(Z).all()
+
+    def test_equals_the_two_step_form_bitwise(self, rng):
+        """Dividing the centred copy in place gives (arr - mean) / std."""
+        X = rng.normal(size=(300, 7)) * [1.0, 5.0, 0.1, 9.0, 1e-3, 2.0, 3.0] + 4.0
+        X[:, 5] = 2.5  # a constant column, centred but not scaled
+        top = X.max(axis=0)
+        constant = top == X.min(axis=0)
+        mean = np.where(constant, top, X.mean(axis=0))
+        std = np.where(constant, 1.0, X.std(axis=0))
+        assert np.array_equal(zscore(X), (X - mean) / std)
 
     @pytest.mark.parametrize("value, rows", [(5.0, 3), (0.1, 958), (0.3, 157)])
     def test_constant_column_is_exactly_zero(self, value, rows):
