@@ -19,6 +19,7 @@ from .subspace import (
     FeatureMatrix,
     Subspace,
     _frozen_array,
+    _Rows,
     fit_pca,
     reconstruction_errors,
 )
@@ -104,19 +105,18 @@ class SubspaceCollection:
         return len(self.subspaces)
 
 
-def _fittable(pool: np.ndarray, rows: np.ndarray) -> bool:
-    """Whether ``pool[rows]`` can support a PCA fit: >= 2 samples, not all identical.
+def _fittable(X: np.ndarray, picked: np.ndarray) -> bool:
+    """Whether ``X[picked]`` can support a PCA fit: >= 2 samples, not all identical.
 
-    ``rows`` is a boolean mask.  The rows are compared with the first of
+    ``picked`` holds row numbers.  The rows are compared with the first of
     them a block at a time, so no copy of all of them is made, and the
     check stops at the first block holding a different row.
     """
-    picked = np.flatnonzero(rows)
     if picked.size < 2:
         return False
-    first = pool[picked[0]]
+    first = X[picked[0]]
     for lo in range(1, picked.size, _CHECK_ROWS):
-        if np.any(pool[picked[lo:lo + _CHECK_ROWS]] != first):
+        if np.any(X[picked[lo:lo + _CHECK_ROWS]] != first):
             return True
     return False
 
@@ -127,7 +127,11 @@ def _first_round(data: FeatureMatrix, k: int) -> tuple[Subspace, np.ndarray, np.
     Every fit of a domain starts from this subspace and its scoring,
     whatever its tau or cap.  A FeatureMatrix is read-only and hashes by
     identity, so the memo on it can only ever return a round of this very
-    data; the errors and coordinates are kept read-only.
+    data; the errors and coordinates are kept read-only.  When the domain is
+    wide (N < d), the fit keeps its centred Gram matrix K on ``data``, and
+    the scoring needs no work in R^d: the coordinates are the leading
+    eigenvectors of K times the square roots of their eigenvalues, and the
+    squared norms of the centred samples are K's diagonal.
     """
     memo = data._first_rounds
     if k not in memo:
@@ -153,12 +157,19 @@ def fit_multi(data, k: int, tau: float, max_subspaces: int = 16) -> SubspaceColl
 
     tau is relaxed for one round by doubling: before the refit until k
     samples fall below it, if none does, and after it until one does.
-    ``tau_escalations`` on the result counts the doublings.
+    ``tau_escalations`` on the result counts the doublings.  Every
+    comparison is strict: an error equal to the threshold in force,
+    tau * 2^j, counts as an outlier, and an error within rounding of it
+    falls on whichever side its rounding puts it.
 
     The first round's PCA and its scoring depend only on the data and k, so
     they are kept on the FeatureMatrix and shared by every fit of that
     object, whatever its tau; fit_pca in turn keeps the object's Gram
-    eigendecomposition, so every k shares one.  The result
+    eigendecomposition, so every k shares one.  The pools of later fits are
+    rows of the data, passed uncopied; on a wide domain (N < d) they are
+    fitted and scored from the centred Gram matrix the first round keeps
+    (see ``msa.subspace``), and on a tall one, or where that would lose
+    accuracy to cancellation, from a copy of their rows.  The result
     depends only on the data and the three settings, so a caller may reuse
     it for the same data object; ``adapt``'s ``fit_cache`` keys fits by
     (data object, k, tau, max_subspaces).
@@ -202,25 +213,24 @@ def fit_multi(data, k: int, tau: float, max_subspaces: int = 16) -> SubspaceColl
             escalations += 1
         return tau_eff
 
-    pool = X
+    # The pool is the rows ``remaining`` of the data, handed to fit_pca and
+    # reconstruction_errors uncopied; the first is the whole domain.
     base, errors, coords = _first_round(data, min(k, n))
     while True:
         outliers = errors >= tau
-        keep = np.ones(pool.shape[0], dtype=bool)
+        keep = np.ones(remaining.size, dtype=bool)
         if (
             len(rounds) < max_subspaces - 1
             and np.count_nonzero(outliers) >= k
-            and _fittable(pool, outliers)
+            and _fittable(X, remaining[outliers])
         ):
             tau_eff = relax(errors, tau, k) if outliers.all() else tau
-            inliers = errors < tau_eff
-            if _fittable(pool, inliers):
-                # The refit's copy of its rows is freed before the scoring
-                # below allocates its own centred copy of the pool.
-                base = fit_pca(pool[inliers], min(k, np.count_nonzero(inliers)))
-                errors, coords = reconstruction_errors(pool, base)
+            inliers = remaining[errors < tau_eff]
+            if _fittable(X, inliers):
+                base = fit_pca(_Rows(data, inliers), min(k, inliers.size))
+                errors, coords = reconstruction_errors(_Rows(data, remaining), base)
             keep = errors < relax(errors, tau_eff, 1)
-            if not _fittable(pool, ~keep):
+            if not _fittable(X, remaining[~keep]):
                 keep[:] = True
 
         assignment[remaining[keep]] = len(rounds)
@@ -228,8 +238,8 @@ def fit_multi(data, k: int, tau: float, max_subspaces: int = 16) -> SubspaceColl
         if keep.all():
             break
         remaining = remaining[~keep]
-        pool = pool[~keep]
-        base = fit_pca(pool, min(k, pool.shape[0]))
+        pool = _Rows(data, remaining)
+        base = fit_pca(pool, min(k, remaining.size))
         errors, coords = reconstruction_errors(pool, base)
 
     subspaces, blocks = zip(*rounds)

@@ -1,5 +1,6 @@
 """Subspace fitting, reconstruction error and coordinates."""
 
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -9,11 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msa.exceptions import ConfigError, DegenerateDataError, DimensionMismatchError
+from msa import subspace
 from msa.subspace import (
     ORTHONORMAL_TOL,
     FeatureMatrix,
     Subspace,
     _gram_spectrum,
+    _Rows,
     fit_pca,
     reconstruction_errors,
 )
@@ -154,12 +157,24 @@ class TestFitPca:
         # are wide data, which take the other Gram matrix.
         padded = np.hstack([np.full((25, 2), 3.0), X])
         for data in (X, padded, padded[:6]):
-            sub = fit_pca(data, 3)
-            # The decomposition's own columns, before the flip.
-            spectrum, centred = _gram_spectrum(data)
+            with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+                sub = fit_pca(data, 3)
+            assert svd.call_count == 0
+            # The decomposition's own columns, before the flip: the top
+            # eigenvectors V of C^T C, or for wide data the column-scaled
+            # C^T V Lambda^{-1/2} of C C^T's, formed from the raw rows with
+            # the weights scaled by a power of two, as fit_pca forms it.
+            spectrum = _gram_spectrum(data)
             raw = spectrum.axes[:, :3]
-            if centred is not None:
-                raw = np.linalg.svd(centred.T @ raw, full_matrices=False)[0]
+            if data.shape[0] < data.shape[1]:
+                weights = raw / np.sqrt(spectrum.values[:3])
+                g = np.frexp(np.abs(weights).sum(axis=0).max())[1]
+                weights = np.ldexp(weights, -g)
+                mean = np.ldexp(spectrum.mean, spectrum.exponent)
+                raw = np.ldexp(
+                    data.T @ weights - np.outer(mean, weights.sum(axis=0)),
+                    g - spectrum.exponent - spectrum.shift,
+                )
             for col, direction in zip(sub.basis.T, raw.T):
                 lead = col[np.abs(col) > 1e-12][0]
                 assert lead >= 0.0
@@ -230,15 +245,17 @@ class TestFitPca:
     def test_feature_matrix_fits_every_k_from_one_eigh(self, rng, shape, descending):
         """Fits of one FeatureMatrix at every k share one eigendecomposition
         and are bit for bit the fits of fresh copies of its rows, whatever
-        order the ks come in; rank-deficient data included."""
+        order the ks come in; rank-deficient data included.  Wide ones scale
+        the columns of C^T V, with no SVD."""
         n, d = shape
         for X in (rng.normal(size=shape) * 10.0 ** rng.uniform(-2, 2, size=d),
                   rng.normal(size=(n, 3)) @ rng.normal(size=(3, d)) + 5.0):
             fm = FeatureMatrix(X)
             ks = range(1, min(n, d) + 1)
-            with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+            with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh, \
+                    mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
                 fits = {k: fit_pca(fm, k) for k in (reversed(ks) if descending else ks)}
-            assert eigh.call_count == 1
+            assert eigh.call_count == 1 and svd.call_count == 0
             for k, sub in fits.items():
                 fresh = fit_pca(X.copy(), k)
                 assert np.array_equal(sub.basis, fresh.basis)
@@ -468,3 +485,234 @@ class TestProject:
         fm_errors, fm_coords = reconstruction_errors(FeatureMatrix(X), sub)
         assert np.array_equal(fm_coords, coords)
         assert np.array_equal(fm_errors, errors)
+
+
+def _wide_union(rng, n, d, spread, offset=0.5):
+    """n samples in R^d, d > n, on three rank-6 planes through means about
+    ``spread`` apart, with noise 0.01 and every entry offset by ``offset``;
+    also returns each sample's plane.  The centred spectrum of any union of
+    its planes has a gap after 6 per plane."""
+    means = rng.normal(size=(3, d)) * spread / np.sqrt(2 * d)
+    frames = [random_orthonormal(rng, d, 6) for _ in range(3)]
+    plane = np.arange(n) % 3
+    X = np.stack([frames[c] @ rng.normal(size=6) for c in plane]) + means[plane]
+    return X + 0.01 * rng.normal(size=(n, d)) + offset, plane
+
+
+class TestWideBasis:
+    """Wide fits scale the columns of C^T V instead of taking its SVD."""
+
+    @pytest.mark.parametrize("power", [-300, -7, 3, 300, 1020])
+    def test_exact_under_power_of_two_scaling(self, rng, power):
+        """The column-scaled basis is the same bit for bit for the data
+        times 2^power, for a whole domain and for rows of it."""
+        X, plane = _wide_union(rng, 60, 250, 2.0)
+        X /= np.abs(X).max()
+        rows = np.flatnonzero(plane != 1)
+        fits = []
+        for data in (X, X * 2.0**power):
+            fm = FeatureMatrix(data)
+            with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+                whole = fit_pca(fm, 12)
+                part = fit_pca(_Rows(fm, rows), 12)
+                errors, coords = reconstruction_errors(_Rows(fm, np.arange(60)), part)
+            assert svd.call_count == 0 and part._gram is not None
+            fits.append((whole, part, errors, coords))
+        (whole, part, errors, coords), (s_whole, s_part, s_errors, s_coords) = fits
+        for a, b in ((whole, s_whole), (part, s_part)):
+            assert np.array_equal(a.basis, b.basis)
+            assert np.array_equal(a.mean * 2.0**power, b.mean)
+        assert np.array_equal(errors, s_errors)
+        assert np.array_equal(coords * 2.0**power, s_coords)
+
+    def test_ill_conditioned_input_falls_back_to_the_svd(self, rng):
+        """Eigenvalues from 1 down to just above the rank tolerance leave
+        the column-scaled basis far outside the contract; the fit takes the
+        SVD of C^T V instead, returns every direction within the contract
+        and does not raise."""
+        n, d = 40, 100
+        # Squared singular values 1 .. 1e-11, sum about 1.1; the tolerance
+        # is 2 (d + 2) eps trace(G), about 5e-14 trace(G).
+        svals = np.sqrt(np.logspace(0, -11, n - 1))
+        X = (_centred_frame(rng, n, n - 1) * svals) @ random_orthonormal(rng, d, n - 1).T
+        spectrum = _gram_spectrum(X)
+        assert spectrum.values[-1] > 2 * (d + 2) * np.finfo(np.float64).eps * spectrum.trace
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            sub = fit_pca(X, n - 1)
+        assert svd.call_count == 1
+        assert sub.rank == n - 1
+        assert np.linalg.norm(sub.basis.T @ sub.basis - np.eye(n - 1)) <= ORTHONORMAL_TOL
+
+    @pytest.mark.parametrize("offset", [1e3, 1e6])
+    def test_rows_far_from_their_mean_take_the_svd(self, rng, offset):
+        """The product of the raw rows loses sqrt(1 + m ||mean||^2 / trace)
+        against centred rows; past 8 the basis comes from the SVD of a
+        centred copy, and still matches the reference, for a whole domain
+        and for rows of one."""
+        X, plane = _wide_union(rng, 60, 200, 1.0, offset=offset)
+        rows = np.flatnonzero(plane != 1)
+        fm = FeatureMatrix(X)
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            whole = fit_pca(fm, 18)
+            part = fit_pca(_Rows(fm, rows), 12)
+        assert svd.call_count == 2 and part._gram is None
+        for sub, data, k in ((whole, X, 18), (part, X[rows], 12)):
+            ref = svd_pca_basis(data, k)
+            assert np.linalg.norm(sub.basis @ sub.basis.T - ref @ ref.T) <= PROJECTOR_TOL
+
+
+def test_no_fallback_on_the_generated_domains():
+    """On the benchmark's seed-0 decaf and surf domains (surf z-scored) no
+    wide fit takes the SVD or fits a copy of its rows, and no scoring
+    rescores a row from the rows, at the benchmark's k and tau."""
+    import sys
+    from pathlib import Path
+
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+    import generate
+
+    from msa.multifit import fit_multi
+    from msa.pipeline import zscore
+
+    fits, fallbacks = [], []
+
+    def rows_fit(rows, k):
+        out = fit_rows(rows, k)
+        (fits if out is not None else fallbacks).append(rows.shape)
+        return out
+
+    fit_rows = subspace._fit_rows_from_gram
+    for workload, ks in (("decaf-grid", (80,)), ("surf-grid", (20, 45, 80))):
+        for name, (x, _) in generate.domains(workload, 0).items():
+            if x.shape[0] >= x.shape[1]:
+                continue
+            fm = FeatureMatrix(zscore(x) if workload == "surf-grid" else x)
+            with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd, \
+                    mock.patch.object(subspace, "_fit_rows_from_gram", side_effect=rows_fit), \
+                    mock.patch.object(subspace, "_centred_rows", wraps=subspace._centred_rows) as rescored:
+                for k in ks:
+                    for tau in (0.4, 0.6):
+                        fit_multi(fm, k, tau)
+            assert svd.call_count == 0, (workload, name)
+            assert rescored.call_count == 0, (workload, name)
+    assert fits and not fallbacks
+
+
+# Gram-space refits and scoring against the d-space computation on copied
+# rows, on _wide_union data (d <= 400, m <= 150, screened cancellation
+# factor A <= 8).  The refit's Gram moves by at most about
+# (d / 2 + 2 m + 8) eps A trace (see _fit_rows_from_gram), 1e-12 of the
+# trace here; the gap after each plane's 6 directions holds a tenth of the
+# trace or more, so by Davis and Kahan the projectors differ by about 1e-11,
+# pinned at PROJECTOR_TOL.  A score moves by about the same relative amount
+# times sqrt(trace / lambda_r) <= 10: errors are pinned at 1e-11 absolute
+# and coordinates at 1e-11 of the largest.  The largest seen over 480 draws
+# were 3e-11 (projectors), 4e-15 (errors) and 3e-14 (coordinates).
+GRAM_SCORE_TOL = 1e-11
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("spread", [0.0, 3.0, 6.0])
+def test_gram_refits_match_the_d_space(seed, spread):
+    """Refits of rows and their scoring from the kept Gram match a fit and a
+    scoring of copied rows, for a random 70 % of the rows, for one plane's
+    rows, whose mean lies far from the domain's when the spread is large
+    (the cancellation case), and for two planes."""
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(60, 150)), int(rng.integers(200, 400))
+    X, plane = _wide_union(rng, n, d, spread)
+    fm = FeatureMatrix(X)
+    fit_pca(fm, 18)
+    everyone = np.arange(n)
+    for rows, k in ((np.flatnonzero(rng.random(n) < 0.7), 18),
+                    (np.flatnonzero(plane == 0), 6),
+                    (np.flatnonzero(plane != 1), 12)):
+        sub = fit_pca(_Rows(fm, rows), k)
+        ref = fit_pca(X[rows].copy(), k)
+        assert sub._gram is not None
+        assert sub.rank == ref.rank == k
+        assert np.linalg.norm(sub.basis @ sub.basis.T - ref.basis @ ref.basis.T) <= PROJECTOR_TOL
+        assert np.allclose(sub.mean, ref.mean, rtol=0.0, atol=1e-14)
+        for pool in (everyone, rows):
+            errors, coords = reconstruction_errors(_Rows(fm, pool), sub)
+            d_errors, d_coords = reconstruction_errors(X[pool].copy(), sub)
+            assert np.abs(errors - d_errors).max() <= GRAM_SCORE_TOL
+            assert np.abs(coords - d_coords).max() <= GRAM_SCORE_TOL * np.abs(d_coords).max()
+
+
+def test_far_rows_fall_back_to_the_d_space():
+    """Rows whose mean lies so far from the domain's that the correction
+    would cost more than 3 bits (here about 4) are fitted from a copy, bit
+    for bit as a fresh array; pool rows near that mean are rescored from
+    their rows."""
+    rng = np.random.default_rng(5)
+    X, plane = _wide_union(rng, 90, 300, 15.0)
+    fm = FeatureMatrix(X)
+    fit_pca(fm, 18)
+    rows = np.flatnonzero(plane == 0)
+    sub = fit_pca(_Rows(fm, rows), 6)
+    ref = fit_pca(X[rows].copy(), 6)
+    assert sub._gram is None
+    assert np.array_equal(sub.basis, ref.basis) and np.array_equal(sub.mean, ref.mean)
+
+    # At 0.4 of that distance the plane's rows are fitted from the
+    # Gram, but scoring its own rows, close to their mean and far from the
+    # domain's, would lose more than 3 bits: they are rescored from the rows.
+    X, plane = _wide_union(np.random.default_rng(5), 90, 300, 6.0)
+    fm = FeatureMatrix(X)
+    fit_pca(fm, 18)
+    sub = fit_pca(_Rows(fm, rows), 6)
+    assert sub._gram is not None
+    with mock.patch.object(subspace, "_centred_rows", wraps=subspace._centred_rows) as rescored:
+        errors, coords = reconstruction_errors(_Rows(fm, np.arange(90)), sub)
+    assert rescored.call_count == 1
+    assert 0 < rescored.call_args.args[1].size < 90
+    assert set(rescored.call_args.args[1]) <= set(rows)
+    d_errors, d_coords = reconstruction_errors(X.copy(), sub)
+    assert np.abs(errors - d_errors).max() <= GRAM_SCORE_TOL
+    assert np.abs(coords - d_coords).max() <= GRAM_SCORE_TOL * np.abs(d_coords).max()
+
+
+def test_rank_between_the_two_tolerances_is_left_to_the_d_space(rng):
+    """A direction whose eigenvalue lies above the rank tolerance of the
+    rows' own Gram but within the Gram path's wider one (which covers the
+    mean correction) is not the Gram path's to drop: the rows are fitted
+    from a copy, which keeps it."""
+    m, d = 40, 300
+    frame = random_orthonormal(rng, d, 8)
+    inner = _centred_frame(rng, m, 7) * np.r_[np.linspace(2.0, 1.0, 6), 0.0]
+    # An eigenvalue of 5 (d + 2) eps trace, between 2 (d + 2) eps trace and
+    # 3 (d + 2) eps times the uncorrected trace, about 3.8 times the trace.
+    inner[:, 6] = _centred_frame(rng, m, 7)[:, 6] * np.sqrt(
+        5 * (d + 2) * np.finfo(np.float64).eps * np.sum(inner**2)
+    )
+    others = rng.normal(size=(20, 6)) @ frame[:, :6].T * 0.5 + frame[:, 7] * 3.0
+    X = np.vstack([inner @ frame[:, :7].T, others]) + 0.2
+    fm = FeatureMatrix(X)
+    fit_pca(fm, 7)
+    rows = np.arange(m)
+    sub = fit_pca(_Rows(fm, rows), 7)
+    assert sub._gram is None
+    assert sub.rank == fit_pca(X[rows].copy(), 7).rank == 7
+
+
+def test_wide_refit_and_scoring_copy_no_rows():
+    """A refit of most rows of a wide domain whose first fit is kept, and
+    the scoring of every row against it, run from the Gram: together they
+    allocate less than a quarter of the rows they fit, where a copy of the
+    rows would take all of it.  The basis and its temporaries, about four
+    d x k arrays, take most of that."""
+    rng = np.random.default_rng(7)
+    X, _ = _wide_union(rng, 150, 6000, 3.0, offset=0.1)
+    fm = FeatureMatrix(X)
+    fit_pca(fm, 6)
+    rows = np.flatnonzero(rng.random(150) < 0.8)
+    tracemalloc.start()
+    try:
+        sub = fit_pca(_Rows(fm, rows), 6)
+        reconstruction_errors(_Rows(fm, np.arange(150)), sub)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sub._gram is not None
+    assert peak < X[rows].nbytes / 4
