@@ -423,20 +423,22 @@ def _fit_rows_from_gram(rows: _Rows, k: int) -> Subspace | None:
     # gamma_d ||c_i|| ||c_j|| from its forming (Frobenius gamma_d t); the
     # means and the three subtractions add about (m + 8) eps t more.  With
     # eigh's m eps ||G||, an eigenvalue moves by at most about
-    # (d / 2 + 2 m + 8) eps t <= 3 (max(m, d) + 2) eps t, the tolerance
-    # below.  Centring the rows themselves would put trace(G) where t
-    # stands, and t = trace(G) + m ||delta||^2: the ratio t / trace(G) is
-    # what the correction's cancellation costs, screened like the raw
-    # product's.
+    # (d / 2 + 2 m + 8) eps t <= 3 (max(m, d) + 2) eps t.  Centring the rows
+    # themselves would put trace(G) where t stands, and
+    # t = trace(G) + m ||delta||^2: the ratio t / trace(G) is what the
+    # correction's cancellation costs, screened like the raw product's.
     if not 0.0 < outer <= _MAX_AMPLIFICATION * trace:
         return None
     evals, evecs = np.linalg.eigh(block)
-    eps = np.finfo(np.float64).eps
-    tol = 3 * (max(m, d) + 2) * eps * outer
+    # The rank _gram_spectrum counts on centred rows, against their own
+    # tolerance 2 (max(m, d) + 2) eps trace(G).  Under the screen the
+    # correction can move an eigenvalue by up to 12 times that, so one that
+    # is rounding may read above it.  Its basis column C^T v / sqrt(lambda)
+    # then has a squared norm off by that movement over lambda, far outside
+    # the contract, and ``_column_scaled`` leaves the fit to the rows.
+    tol = 2 * (max(m, d) + 2) * np.finfo(np.float64).eps * trace
     rank = int(np.count_nonzero(evals > tol))
-    # The rank _gram_spectrum would count on the centred rows: an eigenvalue
-    # between the two tolerances is the d-space fit's to decide.
-    if rank == 0 or np.count_nonzero(evals > 2 * (max(m, d) + 2) * eps * trace) != rank:
+    if rank == 0:
         return None
     r = min(k, rank)
     axes, values = evecs[:, ::-1][:, :r], evals[::-1][:r]
@@ -540,7 +542,10 @@ def reconstruction_errors(data, subspace: Subspace) -> tuple[np.ndarray, np.ndar
 
     Returns:
         (errors, coords): the length-N errors and the (N, r) coordinates
-        (X - mean) @ B of the samples in the subspace's frame.
+        (X - mean) @ B of the samples in the subspace's frame.  Scored from
+        a kept Gram matrix, the coordinates are read off K instead
+        (V Lambda^{1/2}, or rows of K times V Lambda^{-1/2}); they match
+        (X - mean) @ B to within rounding, not bit for bit.
     """
     scores = _scores_from_gram(data, subspace)
     if scores is not None:

@@ -33,6 +33,30 @@ def total_reconstruction_error(data, subspace: Subspace) -> float:
 PROJECTOR_TOL = 1e-9
 
 
+# Absolute tolerance on reconstruction errors, and tolerance relative to the
+# largest coordinate, between a scoring read off a wide domain's kept Gram K
+# and the d-space (X - mean) @ B on copied rows.
+# * Refits on test_subspace's wide unions (d <= 400, m <= 150, screened
+#   cancellation factor A <= 8): the refit's Gram moves by at most about
+#   (d / 2 + 2 m + 8) eps A trace (see _fit_rows_from_gram), 1e-12 of the
+#   trace; the gap after each plane's 6 directions holds a tenth of the
+#   trace or more, so by Davis and Kahan the projectors differ by about
+#   1e-11, within PROJECTOR_TOL.  A score moves by about the same relative
+#   amount times sqrt(trace / lambda_r) <= 10.  The largest seen over 480
+#   draws were 3e-11 (projectors), 4e-15 (errors) and 3e-14 (coordinates).
+# * A whole domain's first round, coordinates V Lambda^{1/2}: with eigh's
+#   residual E = K V - V Lambda, about eps ||K||, column j differs from
+#   C B by about ||E|| / sqrt(lambda_j), eps sqrt(lambda_1 / lambda_j) of
+#   the largest.  The same residual puts about eps lambda_1 / lambda_j on
+#   the diagonal of B^T B - I, which the contract holds to 1e-8, so the
+#   difference stays near sqrt(eps 1e-8) = 1.5e-12 of the largest; beyond
+#   that the basis comes from the SVD and is scored in d-space.  The largest
+#   seen over 61,704 first rounds of wide draws shaped like test_multifit's
+#   (d <= 9, columns scaled by 10^[-2, 2]) were 2.6e-12 (errors) and
+#   3.2e-12 (coordinates).
+GRAM_SCORE_TOL = 1e-11
+
+
 def svd_pca_basis(X, k):
     """Reference for fit_pca's span: the economy SVD of the centred data.
 

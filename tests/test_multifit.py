@@ -16,7 +16,7 @@ from msa.multifit import SubspaceCollection, fit_multi
 from msa.subspace import FeatureMatrix, Subspace, fit_pca, reconstruction_errors
 from msa.synthetic import planted_benchmark
 
-from conftest import random_orthonormal
+from conftest import GRAM_SCORE_TOL, random_orthonormal
 
 
 class TestFitConfig:
@@ -403,7 +403,8 @@ def test_memoized_first_round_is_bit_identical(problem, other_tau):
     assert not errors.flags.writeable and not coords.flags.writeable
     assert all(data is not fm for data, _ in fitted[first_fits:])
     assert all(data is not fm for data in scored[first_scores:])
-    # The memo holds what a first round computes on a copy of the rows.
+    # The memo holds what a first round computes on a copy of the rows, bit
+    # for bit, and matches the d-space scoring of an array copy.
     copy = FeatureMatrix(X.copy())
     fresh = fit_pca(copy, whole_k)
     assert np.array_equal(base.basis, fresh.basis)
@@ -411,6 +412,7 @@ def test_memoized_first_round_is_bit_identical(problem, other_tau):
     fresh_errors, fresh_coords = reconstruction_errors(copy, fresh)
     assert np.array_equal(errors, fresh_errors)
     assert np.array_equal(coords, fresh_coords)
+    _assert_matches_the_d_space(X, base, errors, coords)
 
     cold = fit_multi(X.copy(), k=k, tau=tau, max_subspaces=max_subspaces)
     assert len(warm) == len(cold)
@@ -427,8 +429,9 @@ def test_memoized_first_round_is_bit_identical(problem, other_tau):
 def test_one_first_round_per_domain(shape):
     """Fits at every k and tau share one eigendecomposition of the whole
     domain, and score it once per k; the errors and coordinates kept are
-    read-only and equal the first round of a fresh copy of the rows, bit for
-    bit."""
+    read-only, equal the first round of a fresh copy of the rows bit for
+    bit, and match reconstruction_errors of an array copy: bit for bit when
+    tall, within GRAM_SCORE_TOL when scored from the wide domain's Gram."""
     rng = np.random.default_rng(11)
     X = rng.normal(size=shape) * 10.0 ** rng.uniform(-1, 1, size=shape[1])
     fm = FeatureMatrix(X)
@@ -451,6 +454,21 @@ def test_one_first_round_per_domain(shape):
         fresh_errors, fresh_coords = reconstruction_errors(copy, fit_pca(copy, k))
         assert np.array_equal(errors, fresh_errors)
         assert np.array_equal(coords, fresh_coords)
+        assert (base._gram is not None) == (shape[0] < shape[1])
+        _assert_matches_the_d_space(X, base, errors, coords)
+
+
+def _assert_matches_the_d_space(X, base, errors, coords):
+    """A first round's errors and coordinates against reconstruction_errors
+    of an array copy of X: bit for bit unless scored from a kept Gram, and
+    then within GRAM_SCORE_TOL (see conftest)."""
+    d_errors, d_coords = reconstruction_errors(X.copy(), base)
+    if base._gram is None:
+        assert np.array_equal(errors, d_errors)
+        assert np.array_equal(coords, d_coords)
+    else:
+        assert np.abs(errors - d_errors).max() <= GRAM_SCORE_TOL
+        assert np.abs(coords - d_coords).max() <= GRAM_SCORE_TOL * np.abs(d_coords).max()
 
 
 def test_coords_come_from_the_scoring():

@@ -22,6 +22,7 @@ from msa.subspace import (
 )
 
 from conftest import (
+    GRAM_SCORE_TOL,
     PROJECTOR_TOL,
     random_orthonormal,
     svd_pca_basis,
@@ -477,7 +478,9 @@ class TestProject:
 
     def test_coords_are_exact_projection(self, rng):
         """The coordinates are (X - mean) @ basis bit for bit, for arrays and
-        FeatureMatrix alike."""
+        FeatureMatrix alike, when the subspace was not fitted from the
+        FeatureMatrix's kept Gram (a wide one scores from K, within
+        GRAM_SCORE_TOL; see test_gram_refits_match_the_d_space)."""
         X = rng.normal(size=(8, 5))
         sub = fit_pca(X, 2)
         errors, coords = reconstruction_errors(X, sub)
@@ -487,16 +490,16 @@ class TestProject:
         assert np.array_equal(fm_errors, errors)
 
 
-def _wide_union(rng, n, d, spread, offset=0.5):
+def _wide_union(rng, n, d, spread, offset=0.5, noise=0.01):
     """n samples in R^d, d > n, on three rank-6 planes through means about
-    ``spread`` apart, with noise 0.01 and every entry offset by ``offset``;
+    ``spread`` apart, with noise ``noise`` and every entry offset by ``offset``;
     also returns each sample's plane.  The centred spectrum of any union of
     its planes has a gap after 6 per plane."""
     means = rng.normal(size=(3, d)) * spread / np.sqrt(2 * d)
     frames = [random_orthonormal(rng, d, 6) for _ in range(3)]
     plane = np.arange(n) % 3
     X = np.stack([frames[c] @ rng.normal(size=6) for c in plane]) + means[plane]
-    return X + 0.01 * rng.normal(size=(n, d)) + offset, plane
+    return X + noise * rng.normal(size=(n, d)) + offset, plane
 
 
 class TestWideBasis:
@@ -598,32 +601,26 @@ def test_no_fallback_on_the_generated_domains():
     assert fits and not fallbacks
 
 
-# Gram-space refits and scoring against the d-space computation on copied
-# rows, on _wide_union data (d <= 400, m <= 150, screened cancellation
-# factor A <= 8).  The refit's Gram moves by at most about
-# (d / 2 + 2 m + 8) eps A trace (see _fit_rows_from_gram), 1e-12 of the
-# trace here; the gap after each plane's 6 directions holds a tenth of the
-# trace or more, so by Davis and Kahan the projectors differ by about 1e-11,
-# pinned at PROJECTOR_TOL.  A score moves by about the same relative amount
-# times sqrt(trace / lambda_r) <= 10: errors are pinned at 1e-11 absolute
-# and coordinates at 1e-11 of the largest.  The largest seen over 480 draws
-# were 3e-11 (projectors), 4e-15 (errors) and 3e-14 (coordinates).
-GRAM_SCORE_TOL = 1e-11
-
-
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("spread", [0.0, 3.0, 6.0])
 def test_gram_refits_match_the_d_space(seed, spread):
-    """Refits of rows and their scoring from the kept Gram match a fit and a
-    scoring of copied rows, for a random 70 % of the rows, for one plane's
-    rows, whose mean lies far from the domain's when the spread is large
-    (the cancellation case), and for two planes."""
+    """The whole domain's first round, refits of rows and their scoring from
+    the kept Gram match a scoring of copied rows and a fit of them, for a
+    random 70 % of the rows, for one plane's rows, whose mean lies far from
+    the domain's when the spread is large (the cancellation case), and for
+    two planes."""
     rng = np.random.default_rng(seed)
     n, d = int(rng.integers(60, 150)), int(rng.integers(200, 400))
     X, plane = _wide_union(rng, n, d, spread)
     fm = FeatureMatrix(X)
-    fit_pca(fm, 18)
+    whole = fit_pca(fm, 18)
+    assert whole._gram is not None
     everyone = np.arange(n)
+    for data, pool in ((fm, everyone), (_Rows(fm, everyone[::2]), everyone[::2])):
+        errors, coords = reconstruction_errors(data, whole)
+        d_errors, d_coords = reconstruction_errors(X[pool].copy(), whole)
+        assert np.abs(errors - d_errors).max() <= GRAM_SCORE_TOL
+        assert np.abs(coords - d_coords).max() <= GRAM_SCORE_TOL * np.abs(d_coords).max()
     for rows, k in ((np.flatnonzero(rng.random(n) < 0.7), 18),
                     (np.flatnonzero(plane == 0), 6),
                     (np.flatnonzero(plane != 1), 12)):
@@ -673,15 +670,16 @@ def test_far_rows_fall_back_to_the_d_space():
     assert np.abs(coords - d_coords).max() <= GRAM_SCORE_TOL * np.abs(d_coords).max()
 
 
-def test_rank_between_the_two_tolerances_is_left_to_the_d_space(rng):
-    """A direction whose eigenvalue lies above the rank tolerance of the
-    rows' own Gram but within the Gram path's wider one (which covers the
-    mean correction) is not the Gram path's to drop: the rows are fitted
-    from a copy, which keeps it."""
+def test_rank_within_the_correction_is_left_to_the_d_space(rng):
+    """A direction whose eigenvalue lies above the rows' own rank tolerance
+    but within what the mean correction can move it by is counted from K,
+    and its column-scaled basis falls outside the contract: the rows are
+    fitted from a copy, which keeps it."""
     m, d = 40, 300
     frame = random_orthonormal(rng, d, 8)
     inner = _centred_frame(rng, m, 7) * np.r_[np.linspace(2.0, 1.0, 6), 0.0]
-    # An eigenvalue of 5 (d + 2) eps trace, between 2 (d + 2) eps trace and
+    # An eigenvalue of 5 (d + 2) eps trace, above the tolerance
+    # 2 (d + 2) eps trace and below the correction's reach,
     # 3 (d + 2) eps times the uncorrected trace, about 3.8 times the trace.
     inner[:, 6] = _centred_frame(rng, m, 7)[:, 6] * np.sqrt(
         5 * (d + 2) * np.finfo(np.float64).eps * np.sum(inner**2)
@@ -691,9 +689,32 @@ def test_rank_between_the_two_tolerances_is_left_to_the_d_space(rng):
     fm = FeatureMatrix(X)
     fit_pca(fm, 7)
     rows = np.arange(m)
-    sub = fit_pca(_Rows(fm, rows), 7)
+    scaled = []
+
+    def recording(*args):
+        scaled.append((args[2].shape[1], column_scaled(*args)))
+        return scaled[-1][1]
+
+    column_scaled = subspace._column_scaled
+    with mock.patch.object(subspace, "_column_scaled", side_effect=recording):
+        sub = fit_pca(_Rows(fm, rows), 7)
     assert sub._gram is None
+    # The Gram path counted all 7, and its basis failed the contract.
+    assert scaled[0] == (7, None)
     assert sub.rank == fit_pca(X[rows].copy(), 7).rank == 7
+
+
+def test_rank_deficient_rows_are_fitted_from_the_gram():
+    """Rows of one noiseless plane have centred rank 6: a refit at k = 10
+    counts 6 from K, as a fit of copied rows does, and keeps the Gram path;
+    the rounding eigenvalues below the rows' tolerance are not counted."""
+    X, plane = _wide_union(np.random.default_rng(3), 90, 300, 3.0, noise=0.0)
+    fm = FeatureMatrix(X)
+    fit_pca(fm, 18)
+    rows = np.flatnonzero(plane == 0)
+    sub = fit_pca(_Rows(fm, rows), 10)
+    assert sub._gram is not None
+    assert sub.rank == fit_pca(X[rows].copy(), 10).rank == 6
 
 
 def test_wide_refit_and_scoring_copy_no_rows():
