@@ -8,10 +8,11 @@ centred samples from the coordinates (x - mean)^T B alone, which it returns:
 the one projection of samples into a subspace's frame.
 
 A wide domain (N < d) is fitted in the space of its centred Gram matrix
-K = C C^T (N x N), which a FeatureMatrix keeps from its first fit.  A basis
-is then C^T V Lambda^{-1/2} for eigenpairs (V, Lambda) of K, formed as one
-product of the raw rows with V, and falls back to the SVD of C^T V when that
-is outside the contract.  A subset of the domain's rows (``_Rows``, a pool
+K = C C^T (N x N), which a FeatureMatrix keeps from its first fit; on a
+large domain K is summed over column blocks of C, so C is never formed
+whole.  A basis is then C^T V Lambda^{-1/2} for eigenpairs (V, Lambda) of
+K, formed as one product of the raw rows with V, and falls back to the SVD
+of C^T V when that is outside the contract.  A subset of the domain's rows (``_Rows``, a pool
 of ``fit_multi``) takes its own centred Gram from K and is scored from K's
 rows, so refits and their scoring copy no rows.  Each step screens for the
 cancellation that working from K or from raw rows can bring, and takes the
@@ -480,27 +481,79 @@ def _recentred(scaled: np.ndarray, mean: np.ndarray) -> tuple[np.ndarray, int]:
     return scaled, f
 
 
+# When the centred data of a wide domain would take more than this many
+# bytes, its Gram matrix is formed from column blocks of at most this many.
+# A whole centred copy (37 MB on a 1123 x 4096 domain) would be mapped
+# afresh on each first fit, on top of whatever free memory the heap holds
+# then, so peak memory would vary from run to run.  Smaller data is centred
+# whole, which saves the blocks' second pass.
+_GRAM_BLOCK_BYTES = 8 << 20
+
+
+def _wide_gram(X: np.ndarray, e: int) -> tuple[np.ndarray, int, np.ndarray]:
+    """The mean, f and centred Gram C C^T of the wide (N, d) samples X.
+
+    C holds the entries ``_recentred`` would make of X times 2^-e, bit for
+    bit, but only one block of its columns exists at a time: a pass over
+    the blocks takes the means and f, a second sums the blocks' Gram
+    matrices.  A Gram entry is then summed in another order than one
+    product of all of C sums it, within the same error bound.
+    """
+    n, d = X.shape
+    # Blocks of at least two columns: numpy sums the rows of a block of
+    # two or more in the order it sums those of all of X, but a single
+    # column pairwise, which would round the mean differently.
+    width = max(2, _GRAM_BLOCK_BYTES // (8 * n))
+    spans = [slice(lo, lo + width) for lo in range(0, d, width)]
+    mean = np.empty(d)
+    top = 0.0
+    for cols in spans:
+        block = X[:, cols] * 2.0**-e
+        mean[cols] = block.mean(axis=0)
+        block -= mean[cols]
+        top = max(top, block.max(), -block.min())
+        del block  # before the next block is made
+    f = max(int(np.frexp(top)[1]), -1021)
+    gram = None
+    for cols in spans:
+        block = X[:, cols] * 2.0**-e
+        block -= mean[cols]
+        block *= 2.0**-f
+        if gram is None:
+            gram = block @ block.T
+        else:
+            gram += block @ block.T
+        del block
+    return mean, f, gram
+
+
 def _gram_spectrum(X: np.ndarray, keep_gram: bool = False) -> _GramSpectrum:
     """The Gram spectrum of the (N, d) samples X, which are not all equal.
 
     With ``keep_gram`` and N < d the spectrum holds the centred Gram C C^T,
-    for refits of the rows; the centred data itself is never kept.
+    for refits of the rows.  The centred data itself is never kept, and
+    when N < d and it would exceed ``_GRAM_BLOCK_BYTES`` never formed whole
+    (see ``_wide_gram``).
     """
     n, d = X.shape
     # Centre in units of 2^e, so that neither the mean nor the centred data
     # of finite samples can overflow.
     e = _scale_exponent(X)
-    centred = X * 2.0**-e
-    mean = centred.mean(axis=0)
-    centred, f = _recentred(centred, mean)
-    gram = centred.T @ centred if n >= d else centred @ centred.T
-    del centred
+    if n < d and X.nbytes > _GRAM_BLOCK_BYTES:
+        mean, f, gram = _wide_gram(X, e)
+    else:
+        centred = X * 2.0**-e
+        mean = centred.mean(axis=0)
+        centred, f = _recentred(centred, mean)
+        gram = centred.T @ centred if n >= d else centred @ centred.T
+        del centred
     evals, evecs = np.linalg.eigh(gram)
     # Rank tolerance, in eigenvalue units.  Let m be the length of the inner
     # products that form the Gram matrix G (N for C^T C, d for C C^T), p its
     # order, u = eps/2 and gamma_m = m u / (1 - m u).
     # * Forming G: entry (i, j) is the inner product of c_i and c_j (columns
-    #   of C for C^T C, rows for C C^T), off by at most gamma_m |c_i|.|c_j|
+    #   of C for C^T C, rows for C C^T), in whatever order its terms are
+    #   summed (C C^T sums blocks of them), off by at most gamma_m |c_i|.|c_j|
     #   <= gamma_m ||c_i|| ||c_j||, so ||dG||_2 <= ||dG||_F <= gamma_m
     #   sum_i ||c_i||^2 = gamma_m trace(G), about (m / 2) eps trace(G).
     # * eigh is backward stable: its eigenvalues are those of G + E with

@@ -737,3 +737,57 @@ def test_wide_refit_and_scoring_copy_no_rows():
         tracemalloc.stop()
     assert sub._gram is not None
     assert peak < X[rows].nbytes / 4
+
+
+@pytest.mark.parametrize("width", [1, 7, 64, 300])
+def test_wide_gram_is_formed_in_column_blocks(rng, monkeypatch, width):
+    """A wide Gram formed from blocks of 7 and 64 columns (the last one
+    short), or of 2 where room for 1 is given, has the mean and scale of a
+    whole centred copy bit for bit, and its entries within the forming
+    bound gamma_d trace(G); in one block of all 300 columns it is the whole
+    copy's product bit for bit.  The largest centred magnitude is negative."""
+    n, d = 40, 300
+    X = rng.normal(size=(n, d)) * 3.0 + 0.5
+    X[3, 5] = -40.0
+    e = subspace._scale_exponent(X)
+    scaled = X * 2.0**-e
+    mean = scaled.mean(axis=0)
+    centred, f = subspace._recentred(scaled, mean)
+    whole = centred @ centred.T
+    monkeypatch.setattr(subspace, "_GRAM_BLOCK_BYTES", 8 * n * width)
+    got_mean, got_f, gram = subspace._wide_gram(X, e)
+    assert np.array_equal(got_mean, mean) and got_f == f
+    if width >= d:
+        assert np.array_equal(gram, whole)
+    else:
+        bound = d * np.finfo(np.float64).eps * np.trace(whole)
+        assert 0.0 < np.abs(gram - whole).max() <= bound
+
+
+def test_wide_first_fit_copies_no_rows(monkeypatch):
+    """The first fit of a wide domain forms its Gram from column blocks of
+    the centred data: with 512 kB blocks it allocates less than a quarter of
+    the domain, where a centred copy would take all of it.  Forming the Gram
+    holds one block at a time: with 1 MiB blocks, its peak stays below one
+    and a half blocks, the N x N sums included."""
+    X, _ = _wide_union(np.random.default_rng(11), 150, 6000, 3.0, offset=0.1)
+    monkeypatch.setattr(subspace, "_GRAM_BLOCK_BYTES", 1 << 19)
+    fm = FeatureMatrix(X)
+    tracemalloc.start()
+    try:
+        sub = fit_pca(fm, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sub._gram is not None
+    assert peak < X.nbytes / 4
+
+    monkeypatch.setattr(subspace, "_GRAM_BLOCK_BYTES", 1 << 20)
+    e = subspace._scale_exponent(X)
+    tracemalloc.start()
+    try:
+        subspace._wide_gram(X, e)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * (1 << 20)
