@@ -30,6 +30,21 @@ the training rows again.  For d >= h, or a float64 G of at most 32 MiB, all
 test rows form one block, the whole N_test x N_train G.  No bound depends on
 the blocking, so the labels are exactly ``cdist``'s either way.
 
+One product serves both directions of a pair.  The call with training set
+B and test set A ranks G = A B^T by rows; the call with the roles swapped
+ranks G^T, that is G by columns.  So when the first stage forms the whole
+G and the test set carries labels (it can train the swapped call), it also
+screens G's columns, against the swapped call's own bound, and keeps that
+call's nearest index and unsettled flag per row of B on B (weakly keyed by
+A).  The swapped call pops them as its first stage, forms no product for
+it, and takes its leftovers through the later stages as usual.  Only NA
+hands its domains, labels and all, to 1-NN, so in ``run_benchmark``, which
+runs both directions of every pair, NA forms one product per pair instead
+of two.  A call that records, in one direction only as ``msa adapt`` runs
+it, pays for the column screen: on Office-Caltech-sized pairs it took
+5-8% longer at d = 4096 (float64) and about 20% at d = 800 (float32), on a
+2-core Xeon with OpenBLAS.
+
 scipy is imported by the first near tie, not with this module: ``import
 msa`` loads numpy alone, and most inputs never have a near tie."""
 
@@ -91,8 +106,11 @@ def nn_classify(train: FeatureMatrix, test: FeatureMatrix) -> PredictionResult:
 
     Args:
         train: labelled training features.
-        test: test features in the same dimension; their labels are not
-            used (score them with :func:`evaluate_accuracy`).
+        test: test features in the same dimension; their labels do not
+            move the predictions (score them with :func:`evaluate_accuracy`).
+            With labels, a first stage that forms the whole product also
+            screens it for ``nn_classify(test, train)``; see the module
+            docstring.
 
     Returns:
         PredictionResult over the test samples.
@@ -109,11 +127,20 @@ def nn_classify(train: FeatureMatrix, test: FeatureMatrix) -> PredictionResult:
     a, b = test.data, train.data
     n_test, d = a.shape
     screens = (_screen_float32, _screen_float64) if d <= _MAX_FLOAT32_WIDTH else (_screen_float64,)
+    # The first stage, if the call with the roles swapped screened it.
+    recorded = test._reverse_screens.pop(train, None)
     nearest = np.empty(n_test, dtype=np.intp)
     left = np.arange(n_test)  # the rows no screen has settled yet
     with np.errstate(over="ignore", invalid="ignore"):
-        for screen in screens:
-            best, unsettled = screen(a if left.size == n_test else a[left], b)
+        for stage, screen in enumerate(screens):
+            if stage == 0 and recorded is not None:
+                best, unsettled = recorded
+            else:
+                # Only a labelled test set can train the swapped call.
+                reverse = stage == 0 and test.labels is not None
+                best, unsettled, columns = screen(a if left.size == n_test else a[left], b, reverse)
+                if columns is not None:
+                    train._reverse_screens[test] = columns
             nearest[left] = best
             left = left[unsettled]
             if not left.size:
@@ -123,14 +150,17 @@ def nn_classify(train: FeatureMatrix, test: FeatureMatrix) -> PredictionResult:
     return PredictionResult(predictions=train.labels[nearest])
 
 
-def _screen_float32(a: np.ndarray, b: np.ndarray):
+def _screen_float32(a: np.ndarray, b: np.ndarray, reverse: bool = False):
     """Stage 1: the screen in float32, on both inputs scaled by one power of
-    two.  Returns each row's nearest index and whether it is unsettled."""
+    two.  Returns each row's nearest index, whether it is unsettled, and,
+    when ``reverse`` asks for it and G is formed whole, the same pair for
+    each row of ``b`` against ``a`` (else None)."""
     d = a.shape[1]
+    # Taken over both inputs, the scale is the same in both directions.
     top = max(a.max(), -a.min(), b.max(), -b.min())
     exponent = int(np.frexp(top)[1])  # 2^(exponent - 1) <= top < 2^exponent
     if abs(exponent) > 400:  # cdist itself may overflow or underflow; see below
-        return np.zeros(a.shape[0], dtype=np.intp), np.ones(a.shape[0], dtype=bool)
+        return np.zeros(a.shape[0], dtype=np.intp), np.ones(a.shape[0], dtype=bool), None
     # Scaling by a power of two is exact, so the data times 2^j gives the
     # same float32 copies; with every magnitude below 1, no float32 sum can
     # overflow.  np.multiply rounds each scaled entry into the float32 copy
@@ -138,7 +168,8 @@ def _screen_float32(a: np.ndarray, b: np.ndarray):
     scale = np.ldexp(1.0, -exponent)
     a32 = np.multiply(a, scale, out=np.empty(a.shape, dtype=np.float32))
     b32 = np.multiply(b, scale, out=np.empty(b.shape, dtype=np.float32))
-    half_sq_b = 0.5 * np.einsum("ij,ij->i", b32, b32)
+    sq_b = np.einsum("ij,ij->i", b32, b32)
+    half_sq_b = 0.5 * sq_b
     # The bound, in the scaled units of ||a - b||^2, with u = eps32 / 2 and
     # S_i = ||a_i||^2 + max_j ||b_j||^2 read off the copies.  As derived in
     # _screen_float64, a row keeps cdist's label once half of its gap
@@ -160,17 +191,26 @@ def _screen_float32(a: np.ndarray, b: np.ndarray):
     # d 2^-1075 before scaling, is below d 2^-275 here for |exponent| <=
     # 400, far under that term, and cdist cannot overflow there
     # (d 2^802 < 2^1024).
+    # The swapped call, with a as its training set, has the same scale and
+    # so the same copies; its G entries are the same products a_i.b_j, in
+    # whatever summation order, which no term above depends on.  So its
+    # bound is this one with the roles of a and b swapped:
+    # S'_j = ||b_j||^2 + max_i ||a_i||^2.
     eps, tiny = np.finfo(np.float32).eps, np.finfo(np.float32).tiny
     sq_a = np.einsum("ij,ij->i", a32, a32)
     bound = 4 * (d + 3) * (eps * (sq_a + 2 * half_sq_b.max()) + 8 * tiny)
-    return _screen(a32, b32, half_sq_b, bound)
+    columns = None
+    if reverse:
+        columns = 0.5 * sq_a, 4 * (d + 3) * (eps * (sq_b + sq_a.max()) + 8 * tiny)
+    return _screen(a32, b32, half_sq_b, bound, columns)
 
 
-def _screen_float64(a: np.ndarray, b: np.ndarray):
-    """Stage 2: the screen in float64, on the unscaled inputs.  Returns each
-    row's nearest index and whether it is unsettled."""
+def _screen_float64(a: np.ndarray, b: np.ndarray, reverse: bool = False):
+    """Stage 2: the screen in float64, on the unscaled inputs.  Returns what
+    ``_screen_float32`` does."""
     d = a.shape[1]
-    half_sq_b = 0.5 * np.einsum("ij,ij->i", b, b)
+    sq_b = np.einsum("ij,ij->i", b, b)
+    half_sq_b = 0.5 * sq_b
     # Rounding bound, in the units of ||a - b||^2.  Let u = eps/2,
     # gamma_n = n u / (1 - n u) and, for test row i,
     # S_i = ||a_i||^2 + max_j ||b_j||^2, so that ||a_i - b_j||^2 <= 2 S_i
@@ -191,15 +231,28 @@ def _screen_float64(a: np.ndarray, b: np.ndarray):
     # underflow, whose absolute error is at most eps * tiny per rounding.
     # A non-finite gap or bound fails the test, so overflow falls back
     # too.  Nothing here depends on how the rows are split into blocks.
+    # The swapped call, with a as its training set, would form the same
+    # products a_i.b_j, in another summation order, which the bound does
+    # not depend on.  Its form for test row j is 2 g'_ji = ||a_i||^2 -
+    # 2 b_j.a_i, off by at most the E above with S'_j = ||b_j||^2 +
+    # max_i ||a_i||^2 in place of S_i, and cdist by the same E'.  So its
+    # bound is 4 (d + 2) eps S'_j.
     eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
     sq_a = np.einsum("ij,ij->i", a, a)
     bound = 4 * (d + 2) * eps * (sq_a + 2 * half_sq_b.max() + tiny)
-    return _screen(a, b, half_sq_b, bound)
+    columns = None
+    if reverse:
+        columns = 0.5 * sq_a, 4 * (d + 2) * eps * (sq_b + sq_a.max() + tiny)
+    return _screen(a, b, half_sq_b, bound, columns)
 
 
-def _screen(a: np.ndarray, b: np.ndarray, half_sq_b: np.ndarray, bound: np.ndarray):
+def _screen(a: np.ndarray, b: np.ndarray, half_sq_b: np.ndarray, bound: np.ndarray, columns=None):
     """Each row's nearest row of ``b`` under the G form, and whether its gap
-    fails to exceed twice ``bound``, block by block in ``a``'s precision."""
+    fails to exceed twice ``bound``, block by block in ``a``'s precision.
+
+    With ``columns``, (||a||^2 / 2, bound) for the swapped call, and G
+    formed whole, also returns that call's screen of G's columns (see
+    ``_screen_columns``); else None in its place."""
     n_test, n_train = a.shape[0], b.shape[0]
     # A block of h rows keeps h entries of G per training row in cache, and
     # its product re-packs the d entries of that row.  Blocking pays only
@@ -212,19 +265,54 @@ def _screen(a: np.ndarray, b: np.ndarray, half_sq_b: np.ndarray, bound: np.ndarr
         height = n_test
     nearest = np.empty(n_test, dtype=np.intp)
     unsettled = np.empty(n_test, dtype=bool)
+    reverse = None
     buffer = np.empty((min(height, n_test), n_train), dtype=a.dtype)
     for lo in range(0, n_test, height):
         hi = min(lo + height, n_test)
-        g, rows = buffer[: hi - lo], np.arange(hi - lo)
+        g = buffer[: hi - lo]
         np.matmul(a[lo:hi], b.T, out=g)  # the only block of G held
+        if columns is not None and height == n_test:
+            reverse = _screen_columns(g, *columns)
         np.subtract(half_sq_b, g, out=g)  # g = (||b||^2 - 2 a.b) / 2
-        best_index = g.argmin(axis=1)
-        best = g[rows, best_index]
-        g[rows, best_index] = np.inf
-        half_gap = g.min(axis=1) - best
-        nearest[lo:hi] = best_index
-        unsettled[lo:hi] = ~(half_gap > bound[lo:hi])  # gap > 2 bound_i
+        nearest[lo:hi], unsettled[lo:hi] = _settle(g, bound[lo:hi])
+    return nearest, unsettled, reverse
+
+
+def _screen_columns(product: np.ndarray, half_sq_a: np.ndarray, bound: np.ndarray):
+    """The swapped call's screen of a whole ``product`` A B^T: each
+    column's nearest row under ||a||^2 / 2 - a.b, and whether its gap fails
+    to exceed twice ``bound``.
+
+    Blocks of columns are copied, transposed, into one buffer of at most
+    ``_BLOCK_BYTES`` (or one column), so that each block's rows are whole
+    columns and are ranked as ``_screen`` ranks its rows.  Row blocks with a
+    running best per column took a fifth longer on a 1123 x 958 G, and
+    ``argmin`` across rows copies each block, which doubled the
+    temporaries."""
+    n_rows, n_cols = product.shape
+    width = max(1, _BLOCK_BYTES // (product.itemsize * n_rows))
+    nearest = np.empty(n_cols, dtype=np.intp)
+    unsettled = np.empty(n_cols, dtype=bool)
+    buffer = np.empty((min(width, n_cols), n_rows), dtype=product.dtype)
+    for lo in range(0, n_cols, width):
+        hi = min(lo + width, n_cols)
+        g = buffer[: hi - lo]
+        np.subtract(half_sq_a, product[:, lo:hi].T, out=g)
+        nearest[lo:hi], unsettled[lo:hi] = _settle(g, bound[lo:hi])
     return nearest, unsettled
+
+
+def _settle(g: np.ndarray, bound: np.ndarray):
+    """Each row's argmin in ``g``, lowest column first, and whether its gap
+    to the row's second smallest fails to exceed twice ``bound``.  A tie
+    leaves a gap of 0, and a non-finite gap or bound fails the test.
+    Overwrites ``g``."""
+    rows = np.arange(g.shape[0])
+    best_index = g.argmin(axis=1)
+    best = g[rows, best_index]
+    g[rows, best_index] = np.inf
+    half_gap = g.min(axis=1) - best
+    return best_index, ~(half_gap > bound)  # gap > 2 bound_i
 
 
 def evaluate_accuracy(predictions, truth) -> float:

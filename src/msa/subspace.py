@@ -21,6 +21,7 @@ d-space computation on copied rows instead when a screen fails.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple
 
@@ -73,7 +74,7 @@ class FeatureMatrix:
     data: np.ndarray
     labels: np.ndarray | None = None
     copy: InitVar[bool] = True
-    # The data is read-only, so neither memo ever goes stale.  The Gram
+    # The data is read-only, so no memo ever goes stale.  The Gram
     # spectrum of all of ``data`` (with the centred Gram itself when N < d),
     # filled by the first ``fit_pca`` of it:
     _spectrum: _GramSpectrum | None = field(default=None, init=False, repr=False)
@@ -81,6 +82,14 @@ class FeatureMatrix:
     # reconstruction errors and coordinates, by requested k:
     _first_rounds: dict[int, tuple[Subspace, np.ndarray, np.ndarray]] = field(
         default_factory=dict, init=False, repr=False
+    )
+    # The first screen of a coming nn_classify(train=key, test=self), as
+    # (nearest, unsettled) per row of ``data``: screened from the columns of
+    # the G that nn_classify(train=self, test=key) formed whole.  Weakly
+    # keyed, so that an entry keeps no other FeatureMatrix alive; the
+    # coming call pops it.
+    _reverse_screens: weakref.WeakKeyDictionary = field(
+        default_factory=weakref.WeakKeyDictionary, init=False, repr=False
     )
 
     def __post_init__(self, copy: bool):
@@ -348,11 +357,13 @@ def _column_scaled(X, rows, axes, values, spectrum, mean, trace):
 
     The columns of C^T V are orthogonal with norms sqrt(Lambda), so scaling
     them gives the basis with no SVD.  C is never formed: the product is
-    X^T W - mean (1^T W) with W = V Lambda^{-1/2}, zero outside ``rows``.
-    Forming X^T W rounds each column j by at most
+    X_I^T W - mean (1^T W) with W = V Lambda^{-1/2}, for the m rows I of X
+    that ``rows`` names; X_I^T W is summed over small blocks of them,
+    gathered one at a time, so no copy of all m rows is made.  Its m terms
+    per entry, summed in any order, blocks included, round column j by at most
     gamma_m sum_i |x_i| |w_ij| <= gamma_m (sum_i ||x_i||^2)^(1/2) ||w_j||,
-    against gamma_m (sum_i ||c_i||^2)^(1/2) ||w_j|| for C^T W.  The ratio
-    sum_i ||x_i||^2 / trace = 1 + m ||mean||^2 / trace (m rows) is the
+    against gamma_m (sum_i ||c_i||^2)^(1/2) ||w_j|| for C^T W, sums over I.
+    The ratio sum_i ||x_i||^2 / trace = 1 + m ||mean||^2 / trace is the
     squared amplification, screened against _MAX_AMPLIFICATION squared.
     That error can lie outside the span, where B^T B does not see it, so
     the screen comes first; the contract check then catches a spectrum too
@@ -373,9 +384,13 @@ def _column_scaled(X, rows, axes, values, spectrum, mean, trace):
     if rows is None:
         product = X.T @ weights
     else:
-        padded = np.zeros((X.shape[0], weights.shape[1]))
-        padded[rows] = weights
-        product = X.T @ padded
+        # A block of r rows holds as many numbers as the d x r product, and
+        # the basis's own temporaries below outweigh the two, so gathering
+        # raises no peak; below 8 rows, per-block overhead would dominate.
+        product = np.zeros((X.shape[1], weights.shape[1]))
+        height = max(8, weights.shape[1])
+        for lo in range(0, m, height):
+            product += X[rows[lo:lo + height]].T @ weights[lo:lo + height]
     product -= np.outer(mean, weights.sum(axis=0))
     basis = np.ldexp(product, g - e - f)
     signs = _column_signs(basis)

@@ -1,7 +1,9 @@
 """Nearest-neighbour classification and accuracy scoring."""
 
+import gc
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -334,7 +336,7 @@ class TestFloat32Screen:
         ulp = 2.0**-23
         train = np.array([[1e-8], [2.0 - 0.2 * ulp]])
         test = np.array([[1.0 + 0.45 * ulp]])
-        best, unsettled = msa.classify._screen_float32(test, train)
+        best, unsettled, _ = msa.classify._screen_float32(test, train)
         assert best.tolist() == [0] and unsettled.tolist() == [True]
         screens.clear()
         assert _nearest(train, test).tolist() == [1] == _cdist_nearest(train, test).tolist()
@@ -405,20 +407,41 @@ class TestFloat32Screen:
         """Peak traced memory of that call: the float32 copies of both
         inputs (352 kB), one 2 MiB block, and vectors of n_test or n_train
         entries (113 kB with numpy 2.4).  A scaled float64 copy of either
-        input (320 or 384 kB) held beside the block would overrun it."""
-        train = rng.normal(size=(2400, 20))
-        test = FeatureMatrix(rng.normal(size=(2000, 20)))
-        train = FeatureMatrix(train, np.arange(2400))
-        nn_classify(train, test)  # warm up
-        tracemalloc.start()
-        try:
-            nn_classify(train, test)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        input (320 or 384 kB) held beside the block would overrun it.
+
+        A labelled test set adds only two vectors of n_train entries to
+        that blocked G, which records nothing.  Formed whole (1123 x 958 at
+        d = 20, 4.3 MB in float32), G is also screened by columns for the
+        swapped call, through one buffer of 466 columns (2 MiB over 1123
+        rows): that adds one block and vectors of n_train entries (46 kB
+        with numpy 2.4) to the call's peak."""
+        def peak(train, test):
+            nn_classify(train, test)  # warm up
+            train._reverse_screens.clear()
+            tracemalloc.start()
+            try:
+                nn_classify(train, test)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        train = FeatureMatrix(rng.normal(size=(2400, 20)), np.arange(2400))
+        rows = rng.normal(size=(2000, 20))
+        unlabelled = peak(train, FeatureMatrix(rows))
         copies = 4 * (2000 + 2400) * 20
         block = 4 * 218 * 2400
-        assert block < peak <= copies + block + (256 << 10)
+        assert block < unlabelled <= copies + block + (256 << 10)
+        test = FeatureMatrix(rows, np.arange(2000))  # kept, so a record would stay
+        assert peak(train, test) - unlabelled <= 32 << 10
+        assert not train._reverse_screens
+
+        train = FeatureMatrix(rng.normal(size=(958, 20)), np.arange(958))
+        rows = rng.normal(size=(1123, 20))
+        unlabelled = peak(train, FeatureMatrix(rows))
+        test = FeatureMatrix(rows, np.arange(1123))
+        added = peak(train, test) - unlabelled
+        assert test in train._reverse_screens
+        assert 4 * 1123 * 466 <= added <= msa.classify._BLOCK_BYTES + (64 << 10)
 
 
 class TestBlocks:
@@ -528,6 +551,146 @@ class TestBlocks:
             _nearest(train[:958], test[:1123]), _cdist_nearest(train[:958], test[:1123])
         )
         assert block_rows == [1123]
+
+
+def _labelled(train, test):
+    """Both sets as FeatureMatrix objects labelled by row index, so that
+    either can train the other."""
+    return (
+        FeatureMatrix(train, np.arange(len(train))),
+        FeatureMatrix(test, np.arange(len(test))),
+    )
+
+
+@pytest.mark.parametrize("float32_width", [FLOAT64_ONLY, FLOAT32_FIRST], ids=["float64", "float32"])
+@pytest.mark.parametrize("block_columns", [None, 1, 3], ids=["whole", "by-1", "by-3"])
+@settings(max_examples=100, deadline=None)
+@given(problem=_tied_problem())
+def test_both_call_orders_match_cdist_argmin(float32_width, block_columns, problem):
+    """A labelled test set records the swapped call's first stage, which
+    that call then pops; both calls equal cdist's argmin on tie-heavy
+    inputs.  The column screen runs whole, or in blocks of 1 or 3 columns
+    (2 or 6 in float32), the last one often partial."""
+    train, test = problem
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(msa.classify, "_MAX_FLOAT32_WIDTH", float32_width)
+        if block_columns:
+            patch.setattr(msa.classify, "_BLOCK_BYTES", 8 * len(test) * block_columns)
+        a, b = _labelled(train, test)
+        forward = nn_classify(a, b).predictions
+        assert b in a._reverse_screens
+        reverse = nn_classify(b, a).predictions
+        assert not a._reverse_screens and not b._reverse_screens
+    assert np.array_equal(forward, _cdist_nearest(train, test))
+    assert np.array_equal(reverse, _cdist_nearest(test, train))
+
+
+class TestSharedProduct:
+    """The call with the roles swapped reuses the first stage's whole G."""
+
+    @pytest.mark.parametrize("d", [6, 1100], ids=["float32", "float64"])
+    def test_ties_across_the_two_sets(self, rng, monkeypatch, fallback_rows, d):
+        """Rows in both sets, twice in each, and midpoints that tie exactly
+        between two rows of the other set, at the default widths of both
+        stages; the column screen takes blocks of 2 columns (4 in float32),
+        so ties fall inside and across block edges."""
+        base = rng.integers(-2, 3, size=(5, d)).astype(float)
+        train = np.vstack([base, base, rng.normal(size=(4, d))])
+        test = np.vstack([base[::-1], base[:2], (base[:2] + base[2:4]) / 2, rng.normal(size=(3, d))])
+        monkeypatch.setattr(msa.classify, "_BLOCK_BYTES", 8 * len(test) * 2)
+        a, b = _labelled(train, test)
+        forward = nn_classify(a, b).predictions
+        reverse = nn_classify(b, a).predictions
+        assert np.array_equal(forward, _cdist_nearest(train, test))
+        assert np.array_equal(reverse, _cdist_nearest(test, train))
+        assert np.array_equal(forward[:7], np.r_[np.arange(5)[::-1], 0, 1])
+        assert np.array_equal(reverse[:10], np.r_[np.arange(5)[::-1], np.arange(5)[::-1]])
+        # The tied rows of both calls reached cdist: all that the forward
+        # call ranks against the doubled base, and the two base rows that
+        # the test set holds twice, in each copy.
+        assert fallback_rows[0] >= 7 and fallback_rows[1] >= 4
+
+    @pytest.mark.parametrize("d", [300, 1100], ids=["float32", "float64"])
+    def test_swapped_call_forms_no_first_stage_product(self, rng, screens, fallback_rows, d):
+        """The swapped call forms no first-stage product.  In float64,
+        where Gaussian rows all settle, it forms none at all; in float32 it
+        forms float64 products for its few leftovers only."""
+        train, test = rng.normal(size=(40, d)), rng.normal(size=(30, d))
+        a, b = _labelled(train, test)
+        assert np.array_equal(nn_classify(a, b).predictions, _cdist_nearest(train, test))
+        assert screens[0] == ("float32" if d <= 1024 else "float64", 30)
+        screens.clear()
+        assert np.array_equal(nn_classify(b, a).predictions, _cdist_nearest(test, train))
+        assert all(dtype == "float64" and rows < 10 for dtype, rows in screens)
+        assert fallback_rows == []
+        if d > 1024:
+            assert screens == []
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_column_bound_is_the_swapped_calls_bound(self, screens, fallback_rows, d):
+        """TestFloat32Screen's bound test, seen from the other side: the
+        two rows are the test set and the origin trains.  The column screen
+        settles the swapped call's row past 4 (d + 3) steps of 2^-25, as
+        that call's own screen would, and leaves it to float64 below."""
+        for k, stages in ((4 * (d + 2) + 2, [("float64", 1)]), (4 * (d + 3) + 2, [])):
+            test = np.zeros((2, d))
+            test[:, 0] = [0.5, -(0.5 + k * 2.0**-24)]
+            a, b = _labelled(np.zeros((1, d)), test)
+            nn_classify(a, b)
+            screens.clear()
+            assert np.array_equal(nn_classify(b, a).predictions, [0])
+            assert screens == stages
+        assert fallback_rows == []
+
+    def test_a_record_is_used_once(self, rng, screens):
+        """The swapped call pops the record; called again, it forms its own
+        product and records for the first direction in turn."""
+        a, b = _labelled(rng.normal(size=(40, 1100)), rng.normal(size=(30, 1100)))
+        nn_classify(a, b)
+        nn_classify(b, a)
+        screens.clear()
+        nn_classify(b, a)
+        assert screens == [("float64", 40)]
+        assert a in b._reverse_screens and not a._reverse_screens
+        nn_classify(a, b)
+        assert screens == [("float64", 40)]
+        assert not b._reverse_screens
+
+    def test_nothing_recorded_without_a_whole_first_stage_or_labels(self, rng, monkeypatch, screens):
+        """An unlabelled test set cannot train the swapped call; a blocked
+        G is never whole; past 2^+-400, stage 1 forms no product and
+        stage 2 is not the first."""
+        # Each test set is kept alive, so that a record would stay.
+        train = FeatureMatrix(rng.normal(size=(30, 2)), np.arange(30))
+        rows = rng.normal(size=(20, 2))
+        unlabelled, labelled = FeatureMatrix(rows), FeatureMatrix(rows, np.arange(20))
+        nn_classify(train, unlabelled)
+        assert screens == [("float32", 20)]
+        assert not train._reverse_screens
+        with monkeypatch.context() as patch:
+            _use_blocks(patch, 30, 3)
+            nn_classify(train, labelled)
+            assert screens[-1] == ("float32", 2)  # the last of 7 blocks
+            assert not train._reverse_screens
+        nn_classify(train, labelled)  # the control: whole, it records
+        assert labelled in train._reverse_screens
+        screens.clear()
+        scale = 2.0**410
+        far = FeatureMatrix(rng.normal(size=(30, 2)) * scale, np.arange(30))
+        far_test = FeatureMatrix(rows * scale, np.arange(20))
+        nn_classify(far, far_test)
+        assert screens[0] == ("float64", 20)
+        assert not far._reverse_screens
+
+    def test_a_record_keeps_no_other_matrix_alive(self, rng):
+        train, test = _labelled(rng.normal(size=(20, 3)), rng.normal(size=(10, 3)))
+        nn_classify(train, test)
+        assert len(train._reverse_screens) == 1
+        gone = weakref.ref(test)
+        del test
+        gc.collect()
+        assert gone() is None
+        assert len(train._reverse_screens) == 0
 
 
 class TestEvaluateAccuracy:

@@ -1,5 +1,6 @@
 """End-to-end pipeline behaviour and the benchmark harness."""
 
+import itertools
 import json
 import logging
 from dataclasses import asdict, fields, replace
@@ -7,8 +8,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
-from msa import multifit, pipeline
+from msa import classify, multifit, pipeline
 from msa.exceptions import ConfigError, DimensionMismatchError
 from msa.io import save_features_binary, save_features_csv, save_labels
 from msa.pipeline import (
@@ -528,6 +530,52 @@ class TestRunBenchmark:
         parts = [c.args[0] for c in counted.call_args_list if not isinstance(c.args[0], FeatureMatrix)]
         smallest = min(fm.n_samples for fm in domains.values())
         assert parts and all(part.shape[0] < smallest for part in parts)
+
+    def test_na_forms_one_product_per_pair(self, tmp_path, monkeypatch):
+        """On three domains 1100 wide, whose first screen is float64, an
+        NA-only grid forms one product per unordered pair: the second run
+        of each pair pops the first's record.  Every run's labels are
+        cdist's argmin, and a single NA adapt call gives the labels of an
+        unlabelled target, which records nothing."""
+        rng = np.random.default_rng(5)
+        domains = {
+            name: FeatureMatrix(rng.normal(size=(n, 1100)), rng.integers(0, 4, n))
+            for name, n in (("alpha", 30), ("beta", 24), ("gamma", 17))
+        }
+        for name, fm in domains.items():
+            save_features_binary(tmp_path / f"{name}_wide.bin", fm.data)
+            save_labels(tmp_path / f"{name}_wide.labels", fm.labels)
+        products, runs = [], []
+        matmul, nn_classify = np.matmul, classify.nn_classify
+
+        def counting(x, y, *args, **kwargs):
+            products.append(frozenset((x.shape[0], y.shape[1])))
+            return matmul(x, y, *args, **kwargs)
+
+        def recording(train, test):
+            result = nn_classify(train, test)
+            runs.append((train, test, result.predictions))
+            return result
+
+        with monkeypatch.context() as patch:
+            patch.setattr(classify.np, "matmul", counting)
+            patch.setattr(pipeline, "nn_classify", recording)
+            result = run_benchmark(tmp_path, "wide", grid=[AdaptationConfig(k=1, method="na")])
+        assert len(result.runs) == len(runs) == 6
+        for train, test, predictions in runs:
+            nearest = cdist(test.data, train.data, "sqeuclidean").argmin(axis=1)
+            assert np.array_equal(predictions, train.labels[nearest])
+        sizes = [fm.n_samples for fm in domains.values()]
+        assert sorted(products, key=sorted) == sorted(
+            (frozenset(pair) for pair in itertools.combinations(sizes, 2)), key=sorted
+        )
+
+        source, target = domains["alpha"], domains["beta"]
+        single = adapt(source, target, AdaptationConfig(k=1, method="na"))
+        unlabelled = nn_classify(source, FeatureMatrix(target.data))
+        assert np.array_equal(single.prediction.predictions, unlabelled.predictions)
+        nearest = cdist(target.data, source.data, "sqeuclidean").argmin(axis=1)
+        assert np.array_equal(unlabelled.predictions, source.labels[nearest])
 
     def test_logs_one_progress_line_per_ordered_pair(self, dataset_dir, small_grid, caplog):
         with caplog.at_level(logging.INFO, logger="msa.pipeline"):
