@@ -12,14 +12,24 @@ form that ``scipy.spatial.distance.cdist`` computes.  Three stages each take
 the rows that the one before left unsettled:
 
 1. float32.  Both inputs are scaled by one power of two, so that the
-   largest magnitude lies in [0.5, 1), and rounded into float32 copies; the
-   bound also covers that rounding and float32 underflow.  Only rows of at
-   most ``_MAX_FLOAT32_WIDTH`` (1024) numbers take this stage: the bound
-   grows with the width d, and at d = 4096 it left about half of the rows
-   of a DeCAF-like pair to be screened twice.  Inputs whose largest
-   magnitude lies outside 2^-400..2^400 skip it too.
+   largest magnitude lies in [0.5, 1), and rounded into float32 copies.
+   Only rows of at most ``_MAX_FLOAT32_WIDTH`` (1024) numbers take this
+   stage: the bound grows with the width d, and at d = 4096 it left about
+   half of the rows of a DeCAF-like pair to be screened twice.  Inputs
+   whose largest magnitude lies outside 2^-400..2^400 skip it too.
 2. float64, on the unscaled rows.
 3. ``cdist``, on the rows that are ties or near ties in float64.
+
+Both screens use one bound, derived in ``_screen``.  For test row i, in the
+units the screen works in and with eps and tiny of its precision,
+
+    bound_i = 4 (d + w) (eps S_i + floor),  S_i = ||a_i||^2 + max_j ||b_j||^2,
+
+    float64:  w = 2, floor = eps tiny
+    float32:  w = 3, floor = 8 tiny
+
+float32's larger w covers the rounding of the inputs, and its floor float32
+underflow.
 
 A G whose float64 form would exceed ``_MAX_WHOLE_BYTES`` (32 MiB) is formed
 in blocks of h test rows, h = max(1, _BLOCK_BYTES // (s N_train)) for
@@ -30,20 +40,20 @@ the training rows again.  For d >= h, or a float64 G of at most 32 MiB, all
 test rows form one block, the whole N_test x N_train G.  No bound depends on
 the blocking, so the labels are exactly ``cdist``'s either way.
 
-One product serves both directions of a pair.  The call with training set
-B and test set A ranks G = A B^T by rows; the call with the roles swapped
-ranks G^T, that is G by columns.  So when the first stage forms the whole
-G and the test set carries labels (it can train the swapped call), it also
-screens G's columns, against the swapped call's own bound, and keeps that
-call's nearest index and unsettled flag per row of B on B (weakly keyed by
-A).  The swapped call pops them as its first stage, forms no product for
-it, and takes its leftovers through the later stages as usual.  Only NA
-hands its domains, labels and all, to 1-NN, so in ``run_benchmark``, which
-runs both directions of every pair, NA forms one product per pair instead
-of two.  A call that records, in one direction only as ``msa adapt`` runs
-it, pays for the column screen: on Office-Caltech-sized pairs it took
-5-8% longer at d = 4096 (float64) and about 20% at d = 800 (float32), on a
-2-core Xeon with OpenBLAS.
+One product serves both directions of a pair.  The call with training set B
+and test set A ranks G = A B^T by rows; the call with the roles swapped
+ranks G^T, that is G by columns.  So when the first stage forms the whole G
+and the test set carries labels (it can train the swapped call), it also
+screens G's columns, against the swapped call's own bound (the one above
+with a and b exchanged), and keeps that call's nearest index and unsettled
+flag per row of B on B (weakly keyed by A).  The swapped call pops them as
+its first stage, forms no product for it, and takes its leftovers through
+the later stages as usual.  Only NA hands its domains, labels and all, to
+1-NN, so in ``run_benchmark``, which runs both directions of every pair, NA
+forms one product per pair instead of two.  A call that records, in one
+direction only as ``msa adapt`` runs it, pays for the column screen: on
+Office-Caltech-sized pairs it took 5-8% longer at d = 4096 (float64) and
+about 20% at d = 800 (float32), on a 2-core Xeon with OpenBLAS.
 
 scipy is imported by the first near tie, not with this module: ``import
 msa`` loads numpy alone, and most inputs never have a near tie."""
@@ -55,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConfigError, DegenerateDataError, DimensionMismatchError
-from .subspace import FeatureMatrix, _integer_labels
+from .subspace import FeatureMatrix, _integer_labels, _scale_exponent
 
 # Bytes of G computed per block of test rows: one core's L2 (2 MiB) on the
 # machine the benchmark is measured on.
@@ -126,19 +136,19 @@ def nn_classify(train: FeatureMatrix, test: FeatureMatrix) -> PredictionResult:
         )
     a, b = test.data, train.data
     n_test, d = a.shape
-    screens = (_screen_float32, _screen_float64) if d <= _MAX_FLOAT32_WIDTH else (_screen_float64,)
+    dtypes = (np.float32, np.float64) if d <= _MAX_FLOAT32_WIDTH else (np.float64,)
     # The first stage, if the call with the roles swapped screened it.
     recorded = test._reverse_screens.pop(train, None)
     nearest = np.empty(n_test, dtype=np.intp)
     left = np.arange(n_test)  # the rows no screen has settled yet
     with np.errstate(over="ignore", invalid="ignore"):
-        for stage, screen in enumerate(screens):
+        for stage, dtype in enumerate(dtypes):
             if stage == 0 and recorded is not None:
                 best, unsettled = recorded
             else:
                 # Only a labelled test set can train the swapped call.
                 reverse = stage == 0 and test.labels is not None
-                best, unsettled, columns = screen(a if left.size == n_test else a[left], b, reverse)
+                best, unsettled, columns = _screen(a if left.size == n_test else a[left], b, dtype, reverse)
                 if columns is not None:
                     train._reverse_screens[test] = columns
             nearest[left] = best
@@ -150,110 +160,79 @@ def nn_classify(train: FeatureMatrix, test: FeatureMatrix) -> PredictionResult:
     return PredictionResult(predictions=train.labels[nearest])
 
 
-def _screen_float32(a: np.ndarray, b: np.ndarray, reverse: bool = False):
-    """Stage 1: the screen in float32, on both inputs scaled by one power of
-    two.  Returns each row's nearest index, whether it is unsettled, and,
-    when ``reverse`` asks for it and G is formed whole, the same pair for
-    each row of ``b`` against ``a`` (else None)."""
-    d = a.shape[1]
-    # Taken over both inputs, the scale is the same in both directions.
-    top = max(a.max(), -a.min(), b.max(), -b.min())
-    exponent = int(np.frexp(top)[1])  # 2^(exponent - 1) <= top < 2^exponent
-    if abs(exponent) > 400:  # cdist itself may overflow or underflow; see below
-        return np.zeros(a.shape[0], dtype=np.intp), np.ones(a.shape[0], dtype=bool), None
-    # Scaling by a power of two is exact, so the data times 2^j gives the
-    # same float32 copies; with every magnitude below 1, no float32 sum can
-    # overflow.  np.multiply rounds each scaled entry into the float32 copy
-    # once, without a scaled float64 copy.
-    scale = np.ldexp(1.0, -exponent)
-    a32 = np.multiply(a, scale, out=np.empty(a.shape, dtype=np.float32))
-    b32 = np.multiply(b, scale, out=np.empty(b.shape, dtype=np.float32))
-    sq_b = np.einsum("ij,ij->i", b32, b32)
-    half_sq_b = 0.5 * sq_b
-    # The bound, in the scaled units of ||a - b||^2, with u = eps32 / 2 and
-    # S_i = ||a_i||^2 + max_j ||b_j||^2 read off the copies.  As derived in
-    # _screen_float64, a row keeps cdist's label once half of its gap
-    # exceeds E + E', the errors of each candidate's 2 g in this form and in
-    # cdist:
-    # * E: forming 2 g from the copies in float32 is off by about
-    #   (d + 1) eps32 S_i.  Rounding the inputs to float32 moves each entry
-    #   by at most u times its size, so it moves a.b and ||b||^2 by about
-    #   2 u times their sums of absolute terms, and 2 g by 2 eps32 S_i more.
-    # * E': cdist, in float64, is off by about (d + 2) eps64 S_i, which is
-    #   below eps32 S_i.
-    # bound_i = 4 (d + 3) eps32 S_i, stage 2's 4 (d + 2) in float32's eps
-    # plus twice the input-rounding term, exceeds twice the first-order
-    # E + E' < (d + 4) eps32 S_i, so it keeps at least stage 2's spare
-    # factor.  Each float32 rounding that underflows, flushed to zero or
-    # not, is off by less than tiny32; with every scaled entry below 1 that
-    # moves 2 g by at most about 12 (d + 1) tiny32, and the 32 (d + 3)
-    # tiny32 term covers twice that.  cdist's own underflow, at most
-    # d 2^-1075 before scaling, is below d 2^-275 here for |exponent| <=
-    # 400, far under that term, and cdist cannot overflow there
-    # (d 2^802 < 2^1024).
-    # The swapped call, with a as its training set, has the same scale and
-    # so the same copies; its G entries are the same products a_i.b_j, in
-    # whatever summation order, which no term above depends on.  So its
-    # bound is this one with the roles of a and b swapped:
+def _screen(a: np.ndarray, b: np.ndarray, dtype, reverse: bool = False):
+    """One stage: each row of ``a``'s nearest row of ``b`` under the G form,
+    in ``dtype`` (float32 on copies scaled by one power of two, float64 on
+    the inputs), and whether its gap fails to exceed twice the bound.
+
+    When ``reverse`` asks for it and G is formed whole, also returns the
+    same pair for each row of ``b`` against ``a``, screened from G's columns
+    (see ``_screen_columns``); else None in its place."""
+    n_test, d = a.shape
+    n_train = b.shape[0]
+    eps, tiny = np.finfo(dtype).eps, np.finfo(dtype).tiny
+    if dtype == np.float32:
+        # Taken over both inputs, the scale is the same in both directions.
+        exponent = _scale_exponent(a, b)
+        if abs(exponent) > 400:  # cdist itself may overflow or underflow; see below
+            return np.zeros(n_test, dtype=np.intp), np.ones(n_test, dtype=bool), None
+        # Scaling by a power of two is exact, so the data times 2^j gives
+        # the same float32 copies; with every magnitude below 1, no float32
+        # sum can overflow.  np.multiply rounds each scaled entry into the
+        # float32 copy once, without a scaled float64 copy.
+        scale = np.ldexp(1.0, -exponent)
+        a = np.multiply(a, scale, out=np.empty(a.shape, dtype=np.float32))
+        b = np.multiply(b, scale, out=np.empty(b.shape, dtype=np.float32))
+        w, floor = 3, 8 * tiny
+    else:
+        w, floor = 2, eps * tiny
+    # The bound, in the units of ||a - b||^2 that this stage works in.  Let
+    # u = eps/2, gamma_n = n u / (1 - n u) and, for test row i,
+    # S_i = ||a_i||^2 + max_j ||b_j||^2, so that ||a_i - b_j||^2 <= 2 S_i and
+    # ||b_j||^2 + 2 |a_i.b_j| <= 2 S_i.  A row keeps cdist's label once half
+    # of its gap exceeds E + E', the errors of each candidate's 2 g in this
+    # form and in cdist: when the gap between the two smallest entries of
+    # 2 g exceeds 2 (E + E'), every other column of cdist's row exceeds the
+    # entry at `nearest`, so cdist's argmin is `nearest`.
+    # * E, this form: the dot product and ||b_j||^2 are each off by at most
+    #   gamma_d times their sums of absolute terms, in any summation order,
+    #   with or without FMA; the subtraction adds one rounding and the
+    #   halving is exact.  So 2 g is off by at most
+    #   E <= (gamma_d + u)(1 + gamma_d) 2 S_i, about (d + 1) eps S_i.  In
+    #   float32, rounding the inputs moves each entry by at most u times its
+    #   size, so it moves a.b and ||b||^2 by about 2 u times their sums of
+    #   absolute terms, and 2 g by 2 eps32 S_i more.
+    # * E', cdist: it sums d rounded squares of rounded differences in
+    #   float64, so it is off by at most gamma_(d+2) ||a_i - b_j||^2, about
+    #   (d + 2) eps64 S_i, which is below eps32 S_i.
+    # So bound_i = 4 (d + w) (eps S_i + floor) with w = 2 in float64 exceeds
+    # twice the first-order E + E' = (2d + 3) eps S_i; w = 3 in float32 adds
+    # twice the input-rounding term and exceeds twice E + E' < (d + 4) eps32
+    # S_i, keeping at least float64's spare factor.  That factor covers the
+    # 1/(1 - n u) terms and the roundings of the norms, the gap and the
+    # bound.  The floor covers underflow.  In float64, gradual underflow's
+    # absolute error is at most eps tiny per rounding.  In float32, each
+    # rounding that underflows, flushed to zero or not, is off by less than
+    # tiny32; with every scaled entry below 1 that moves 2 g by at most about
+    # 12 (d + 1) tiny32, and 4 (d + 3) floors, 32 (d + 3) tiny32, cover twice
+    # that.  cdist's own underflow, at most d 2^-1075 before scaling, is below
+    # d 2^-275 after it for |exponent| <= 400, far under that term, and cdist
+    # cannot overflow there (d 2^802 < 2^1024).  A non-finite gap or bound
+    # fails the test, so overflow falls back too.  Nothing here depends on
+    # how the rows are split into blocks.
+    # The swapped call, with a as its training set, forms the same products
+    # a_i.b_j (in float32 from the same copies, the scale being taken over
+    # both inputs), in another summation order, which no term above depends
+    # on.  Its form for test row j is 2 g'_ji = ||a_i||^2 - 2 b_j.a_i, so its
+    # bound is this one with a and b exchanged:
     # S'_j = ||b_j||^2 + max_i ||a_i||^2.
-    eps, tiny = np.finfo(np.float32).eps, np.finfo(np.float32).tiny
-    sq_a = np.einsum("ij,ij->i", a32, a32)
-    bound = 4 * (d + 3) * (eps * (sq_a + 2 * half_sq_b.max()) + 8 * tiny)
-    columns = None
-    if reverse:
-        columns = 0.5 * sq_a, 4 * (d + 3) * (eps * (sq_b + sq_a.max()) + 8 * tiny)
-    return _screen(a32, b32, half_sq_b, bound, columns)
-
-
-def _screen_float64(a: np.ndarray, b: np.ndarray, reverse: bool = False):
-    """Stage 2: the screen in float64, on the unscaled inputs.  Returns what
-    ``_screen_float32`` does."""
-    d = a.shape[1]
+    sq_a = np.einsum("ij,ij->i", a, a)
     sq_b = np.einsum("ij,ij->i", b, b)
     half_sq_b = 0.5 * sq_b
-    # Rounding bound, in the units of ||a - b||^2.  Let u = eps/2,
-    # gamma_n = n u / (1 - n u) and, for test row i,
-    # S_i = ||a_i||^2 + max_j ||b_j||^2, so that ||a_i - b_j||^2 <= 2 S_i
-    # and ||b_j||^2 + 2 |a_i.b_j| <= 2 S_i.
-    # * This form: the dot product and ||b_j||^2 are each off by at most
-    #   gamma_d times their sums of absolute terms, in any summation
-    #   order, with or without FMA; the subtraction adds one rounding and
-    #   the halving is exact.  So 2 g is off by at most
-    #   E <= (gamma_d + u)(1 + gamma_d) 2 S_i, about (d + 1) eps S_i.
-    # * cdist sums d rounded squares of rounded differences, so it is off
-    #   by at most E' <= gamma_(d+2) ||a_i - b_j||^2, about (d + 2) eps S_i.
-    # When the gap between the two smallest entries of 2 g exceeds
-    # 2 (E + E'), every other column of cdist's row exceeds the entry at
-    # `nearest`, so cdist's argmin is `nearest`.  bound_i = 4 (d + 2) eps
-    # S_i exceeds twice the first-order E + E' = (2d + 3) eps S_i; the
-    # spare factor covers the 1/(1 - n u) terms and the roundings of the
-    # norms, the gap and the bound.  The `tiny` term covers gradual
-    # underflow, whose absolute error is at most eps * tiny per rounding.
-    # A non-finite gap or bound fails the test, so overflow falls back
-    # too.  Nothing here depends on how the rows are split into blocks.
-    # The swapped call, with a as its training set, would form the same
-    # products a_i.b_j, in another summation order, which the bound does
-    # not depend on.  Its form for test row j is 2 g'_ji = ||a_i||^2 -
-    # 2 b_j.a_i, off by at most the E above with S'_j = ||b_j||^2 +
-    # max_i ||a_i||^2 in place of S_i, and cdist by the same E'.  So its
-    # bound is 4 (d + 2) eps S'_j.
-    eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
-    sq_a = np.einsum("ij,ij->i", a, a)
-    bound = 4 * (d + 2) * eps * (sq_a + 2 * half_sq_b.max() + tiny)
-    columns = None
-    if reverse:
-        columns = 0.5 * sq_a, 4 * (d + 2) * eps * (sq_b + sq_a.max() + tiny)
-    return _screen(a, b, half_sq_b, bound, columns)
 
+    def bound(sq_x, sq_y):  # of the rows x ranking the rows y
+        return 4 * (d + w) * (eps * (sq_x + sq_y.max()) + floor)
 
-def _screen(a: np.ndarray, b: np.ndarray, half_sq_b: np.ndarray, bound: np.ndarray, columns=None):
-    """Each row's nearest row of ``b`` under the G form, and whether its gap
-    fails to exceed twice ``bound``, block by block in ``a``'s precision.
-
-    With ``columns``, (||a||^2 / 2, bound) for the swapped call, and G
-    formed whole, also returns that call's screen of G's columns (see
-    ``_screen_columns``); else None in its place."""
-    n_test, n_train = a.shape[0], b.shape[0]
     # A block of h rows keeps h entries of G per training row in cache, and
     # its product re-packs the d entries of that row.  Blocking pays only
     # while d < h and G is too large to be formed whole.  That size is
@@ -261,21 +240,25 @@ def _screen(a: np.ndarray, b: np.ndarray, half_sq_b: np.ndarray, bound: np.ndarr
     # as it was: a whole float32 G of 2000 x 2400 (19.2 MB) ran adapt-tall
     # 15-20% faster, but raised its peak RSS from 74 to 91 MB.
     height = max(1, _BLOCK_BYTES // (a.itemsize * n_train))
-    if a.shape[1] >= height or 8 * n_test * n_train <= _MAX_WHOLE_BYTES:
+    if d >= height or 8 * n_test * n_train <= _MAX_WHOLE_BYTES:
         height = n_test
+    columns = None
+    if reverse and height == n_test:
+        columns = 0.5 * sq_a, bound(sq_b, sq_a)
     nearest = np.empty(n_test, dtype=np.intp)
     unsettled = np.empty(n_test, dtype=bool)
-    reverse = None
+    forward = bound(sq_a, sq_b)
+    swapped = None
     buffer = np.empty((min(height, n_test), n_train), dtype=a.dtype)
     for lo in range(0, n_test, height):
         hi = min(lo + height, n_test)
         g = buffer[: hi - lo]
         np.matmul(a[lo:hi], b.T, out=g)  # the only block of G held
-        if columns is not None and height == n_test:
-            reverse = _screen_columns(g, *columns)
+        if columns is not None:
+            swapped = _screen_columns(g, *columns)
         np.subtract(half_sq_b, g, out=g)  # g = (||b||^2 - 2 a.b) / 2
-        nearest[lo:hi], unsettled[lo:hi] = _settle(g, bound[lo:hi])
-    return nearest, unsettled, reverse
+        nearest[lo:hi], unsettled[lo:hi] = _settle(g, forward[lo:hi])
+    return nearest, unsettled, swapped
 
 
 def _screen_columns(product: np.ndarray, half_sq_a: np.ndarray, bound: np.ndarray):

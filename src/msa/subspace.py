@@ -8,15 +8,15 @@ centred samples from the coordinates (x - mean)^T B alone, which it returns:
 the one projection of samples into a subspace's frame.
 
 A wide domain (N < d) is fitted in the space of its centred Gram matrix
-K = C C^T (N x N), which a FeatureMatrix keeps from its first fit; on a
-large domain K is summed over column blocks of C, so C is never formed
-whole.  A basis is then C^T V Lambda^{-1/2} for eigenpairs (V, Lambda) of
-K, formed as one product of the raw rows with V, and falls back to the SVD
-of C^T V when that is outside the contract.  A subset of the domain's rows (``_Rows``, a pool
-of ``fit_multi``) takes its own centred Gram from K and is scored from K's
-rows, so refits and their scoring copy no rows.  Each step screens for the
-cancellation that working from K or from raw rows can bring, and takes the
-d-space computation on copied rows instead when a screen fails.
+K = C C^T (N x N), which a FeatureMatrix keeps from its first fit; K is
+summed over column blocks of C, so C is never formed whole.  A basis is
+then C^T V Lambda^{-1/2} for eigenpairs (V, Lambda) of K, formed as one
+product of the raw rows with V, and falls back to the SVD of C^T V when
+that is outside the contract.  A subset of the domain's rows (``_Rows``, a
+pool of ``fit_multi``) takes its own centred Gram from K and is scored from
+K's rows, so refits and their scoring copy no rows.  Each step screens for
+the cancellation that working from K or from raw rows can bring, and takes
+the d-space computation on copied rows instead when a screen fails.
 """
 
 from __future__ import annotations
@@ -324,7 +324,10 @@ def fit_pca(data, k: int) -> Subspace:
         return Subspace(basis=axes * _column_signs(axes), mean=mean)
     fit = _column_scaled(X, None, axes, values, spectrum, mean, spectrum.trace)
     if fit is None:
-        centred, _ = _recentred(X * 2.0**-spectrum.exponent, spectrum.mean)
+        # C in the spectrum's units, as its Gram was formed.
+        centred = X * 2.0**-spectrum.exponent
+        centred -= spectrum.mean
+        centred *= 2.0**-spectrum.shift
         # C^T V holds the principal directions scaled by the square roots of
         # their eigenvalues; its left singular vectors are those directions,
         # orthonormal to working precision.
@@ -445,19 +448,16 @@ def _fit_rows_from_gram(rows: _Rows, k: int) -> Subspace | None:
     # correction's cancellation costs, screened like the raw product's.
     if not 0.0 < outer <= _MAX_AMPLIFICATION * trace:
         return None
-    evals, evecs = np.linalg.eigh(block)
-    # The rank _gram_spectrum counts on centred rows, against their own
-    # tolerance 2 (max(m, d) + 2) eps trace(G).  Under the screen the
-    # correction can move an eigenvalue by up to 12 times that, so one that
-    # is rounding may read above it.  Its basis column C^T v / sqrt(lambda)
-    # then has a squared norm off by that movement over lambda, far outside
-    # the contract, and ``_column_scaled`` leaves the fit to the rows.
-    tol = 2 * (max(m, d) + 2) * np.finfo(np.float64).eps * trace
-    rank = int(np.count_nonzero(evals > tol))
-    if rank == 0:
+    # The rank is counted as on centred rows, against the rows' own
+    # tolerance (``_above_rounding``).  Under the screen the correction can
+    # move an eigenvalue by up to 12 times that, so one that is rounding may
+    # read above it.  Its basis column C^T v / sqrt(lambda) then has a
+    # squared norm off by that movement over lambda, far outside the
+    # contract, and ``_column_scaled`` leaves the fit to the rows.
+    axes, values = _above_rounding(*np.linalg.eigh(block), max(m, d), trace)
+    if not values.size:
         return None
-    r = min(k, rank)
-    axes, values = evecs[:, ::-1][:, :r], evals[::-1][:r]
+    axes, values = axes[:, :k], values[:k]
     # The rows' mean, by one product with the whole domain; no sum exceeds
     # max |X|.
     weights = np.zeros(X.shape[0])
@@ -473,46 +473,36 @@ def _fit_rows_from_gram(rows: _Rows, k: int) -> Subspace | None:
     return subspace
 
 
-def _scale_exponent(a: np.ndarray) -> int:
-    """The e for which a * 2^-e has its largest magnitude in [0.5, 1).
+def _scale_exponent(*arrays: np.ndarray) -> int:
+    """The e for which the arrays times 2^-e have their largest magnitude,
+    over all of them, in [0.5, 1).
 
     Multiplying by a power of two is exact wherever the result is normal, so
     every fit is the same, bit for bit, for the data times any power of two.
     e is capped at -1021 so that 2^-e stays finite; only data whose entries
     are all subnormal reach the cap.
     """
-    return max(int(np.frexp(max(a.max(), -a.min()))[1]), -1021)
+    top = max(max(a.max(), -a.min()) for a in arrays)
+    return max(int(np.frexp(top)[1]), -1021)
 
 
-def _recentred(scaled: np.ndarray, mean: np.ndarray) -> tuple[np.ndarray, int]:
-    """``scaled - mean``, in place, rescaled to a largest magnitude in [0.5, 1).
-
-    Returns the array and the f it was multiplied by 2^-f with.  With that
-    scaling no Gram entry can overflow and trace(G) >= 1/4.
-    """
-    scaled -= mean
-    f = _scale_exponent(scaled)
-    scaled *= 2.0**-f
-    return scaled, f
-
-
-# When the centred data of a wide domain would take more than this many
-# bytes, its Gram matrix is formed from column blocks of at most this many.
-# A whole centred copy (37 MB on a 1123 x 4096 domain) would be mapped
-# afresh on each first fit, on top of whatever free memory the heap holds
-# then, so peak memory would vary from run to run.  Smaller data is centred
-# whole, which saves the blocks' second pass.
+# A wide domain's Gram matrix is formed from column blocks of its centred
+# data of at most this many bytes.  A whole centred copy (37 MB on a
+# 1123 x 4096 domain) would be mapped afresh on each first fit, on top of
+# whatever free memory the heap holds then, so peak memory would vary from
+# run to run.  A smaller domain is one block of all its columns.
 _GRAM_BLOCK_BYTES = 8 << 20
 
 
 def _wide_gram(X: np.ndarray, e: int) -> tuple[np.ndarray, int, np.ndarray]:
-    """The mean, f and centred Gram C C^T of the wide (N, d) samples X.
+    """The mean, f and centred Gram C C^T of the wide (N, d) samples X, C
+    being X times 2^-e less its mean, times 2^-f (see ``_gram_spectrum``).
 
-    C holds the entries ``_recentred`` would make of X times 2^-e, bit for
-    bit, but only one block of its columns exists at a time: a pass over
-    the blocks takes the means and f, a second sums the blocks' Gram
-    matrices.  A Gram entry is then summed in another order than one
-    product of all of C sums it, within the same error bound.
+    Only one block of C's columns exists at a time: a pass over the blocks
+    takes the means and f, a second sums the blocks' Gram matrices.  With
+    more than one block, a Gram entry is summed in another order than one
+    product of all of C sums it, within the same error bound; one block's
+    product is that product.
     """
     n, d = X.shape
     # Blocks of at least two columns: numpy sums the rows of a block of
@@ -528,7 +518,7 @@ def _wide_gram(X: np.ndarray, e: int) -> tuple[np.ndarray, int, np.ndarray]:
         block -= mean[cols]
         top = max(top, block.max(), -block.min())
         del block  # before the next block is made
-    f = max(int(np.frexp(top)[1]), -1021)
+    f = _scale_exponent(np.array(top))
     gram = None
     for cols in spans:
         block = X[:, cols] * 2.0**-e
@@ -547,51 +537,62 @@ def _gram_spectrum(X: np.ndarray, keep_gram: bool = False) -> _GramSpectrum:
 
     With ``keep_gram`` and N < d the spectrum holds the centred Gram C C^T,
     for refits of the rows.  The centred data itself is never kept, and
-    when N < d and it would exceed ``_GRAM_BLOCK_BYTES`` never formed whole
-    (see ``_wide_gram``).
+    when N < d never formed whole (see ``_wide_gram``).
     """
     n, d = X.shape
-    # Centre in units of 2^e, so that neither the mean nor the centred data
-    # of finite samples can overflow.
+    # C is centred in units of 2^e, so that neither the mean nor C can
+    # overflow for finite samples, then rescaled by 2^-f to a largest
+    # magnitude in [0.5, 1), so that no Gram entry can overflow and
+    # trace(G) >= 1/4.
     e = _scale_exponent(X)
-    if n < d and X.nbytes > _GRAM_BLOCK_BYTES:
+    if n < d:
         mean, f, gram = _wide_gram(X, e)
     else:
         centred = X * 2.0**-e
         mean = centred.mean(axis=0)
-        centred, f = _recentred(centred, mean)
-        gram = centred.T @ centred if n >= d else centred @ centred.T
+        centred -= mean
+        f = _scale_exponent(centred)
+        centred *= 2.0**-f
+        gram = centred.T @ centred
         del centred
-    evals, evecs = np.linalg.eigh(gram)
-    # Rank tolerance, in eigenvalue units.  Let m be the length of the inner
-    # products that form the Gram matrix G (N for C^T C, d for C C^T), p its
-    # order, u = eps/2 and gamma_m = m u / (1 - m u).
-    # * Forming G: entry (i, j) is the inner product of c_i and c_j (columns
-    #   of C for C^T C, rows for C C^T), in whatever order its terms are
-    #   summed (C C^T sums blocks of them), off by at most gamma_m |c_i|.|c_j|
-    #   <= gamma_m ||c_i|| ||c_j||, so ||dG||_2 <= ||dG||_F <= gamma_m
-    #   sum_i ||c_i||^2 = gamma_m trace(G), about (m / 2) eps trace(G).
-    # * eigh is backward stable: its eigenvalues are those of G + E with
-    #   ||E||_2 about p eps ||G||_2 <= p eps trace(G).
-    # By Weyl's inequality an eigenvalue that is zero in exact arithmetic
-    # reads at most about (m / 2 + p) eps trace(G) <= 1.5 max(N, d) eps
-    # trace(G).  The tolerance 2 (max(N, d) + 2) eps trace(G) exceeds that;
-    # the spare covers the 1/(1 - m u) terms, the roundings of the trace and
-    # gradual underflow, whose absolute error (at most tiny per rounding) is
-    # far below eps trace(G) >= eps / 4 after the scaling.  An eigenvalue
-    # at or below it is rounding, with no determined direction, and is not
-    # counted.  The largest eigenvalue is at least trace(G) / p, far above
-    # the tolerance, so the rank is at least 1.
     trace = float(np.trace(gram))
-    tol = 2 * (max(n, d) + 2) * np.finfo(np.float64).eps * trace
-    rank = int(np.count_nonzero(evals > tol))
-    # eigh sorts ascending.
-    axes, values = evecs[:, ::-1][:, :rank], evals[::-1][:rank]
+    axes, values = _above_rounding(*np.linalg.eigh(gram), max(n, d), trace)
     kept = gram if keep_gram and n < d else None
     for a in (mean, axes, values, kept):
         if a is not None:
             a.setflags(write=False)
     return _GramSpectrum(e, f, mean, axes, values, trace, kept)
+
+
+def _above_rounding(evals: np.ndarray, evecs: np.ndarray, order: int, trace: float):
+    """The eigenpairs of a Gram matrix G from ``eigh`` whose eigenvalues
+    exceed its rounding, as (axes, values) in order of decreasing eigenvalue.
+
+    ``order`` is max(N, d) for the (N, d) data G was formed from, and
+    ``trace`` is trace(G).  Let m be the length of the inner products that
+    form G (N for C^T C, d for C C^T), p its order, u = eps/2 and
+    gamma_m = m u / (1 - m u).
+    * Forming G: entry (i, j) is the inner product of c_i and c_j (columns
+      of C for C^T C, rows for C C^T), in whatever order its terms are
+      summed (C C^T sums blocks of them), off by at most gamma_m |c_i|.|c_j|
+      <= gamma_m ||c_i|| ||c_j||, so ||dG||_2 <= ||dG||_F <= gamma_m
+      sum_i ||c_i||^2 = gamma_m trace(G), about (m / 2) eps trace(G).
+    * eigh is backward stable: its eigenvalues are those of G + E with
+      ||E||_2 about p eps ||G||_2 <= p eps trace(G).
+    By Weyl's inequality an eigenvalue that is zero in exact arithmetic
+    reads at most about (m / 2 + p) eps trace(G) <= 1.5 max(N, d) eps
+    trace(G).  The tolerance 2 (max(N, d) + 2) eps trace(G) exceeds that;
+    the spare covers the 1/(1 - m u) terms, the roundings of the trace and
+    gradual underflow, whose absolute error (at most tiny per rounding) is
+    far below eps trace(G) >= eps / 4 after the scaling.  An eigenvalue at
+    or below it is rounding, with no determined direction, and is not
+    counted.  On centred data the largest eigenvalue is at least
+    trace(G) / p, far above the tolerance, so the rank is at least 1.
+    """
+    tol = 2 * (order + 2) * np.finfo(np.float64).eps * trace
+    rank = int(np.count_nonzero(evals > tol))
+    # eigh sorts ascending.
+    return evecs[:, ::-1][:, :rank], evals[::-1][:rank]
 
 
 def reconstruction_errors(data, subspace: Subspace) -> tuple[np.ndarray, np.ndarray]:

@@ -76,6 +76,15 @@ def screens(monkeypatch):
 FLOAT64_ONLY, FLOAT32_FIRST = 0, np.iinfo(np.intp).max
 
 
+def _edge_rows(d, half_gap):
+    """Two rows on the first axis, at 0.5 and at -(0.5 + 2 ``half_gap``):
+    halved, their squared norms differ by about ``half_gap``, and against the
+    origin S = 1/4."""
+    rows = np.zeros((2, d))
+    rows[:, 0] = [0.5, -(0.5 + 2 * half_gap)]
+    return rows
+
+
 def _use_blocks(patch, n_train, height):
     """Make nn_classify take blocks of ``height`` test rows whenever d <
     height, however small G is."""
@@ -314,21 +323,27 @@ class TestFloat32Screen:
     """Stage 1 settles what its bound proves; stage 2 gets every other row."""
 
     @pytest.mark.parametrize("d", [1, 3])
-    def test_bound_counts_the_input_rounding(self, screens, fallback_rows, d):
+    def test_bound_counts_the_input_rounding(self, monkeypatch, screens, fallback_rows, d):
         """Scaled S = 1/4 and half-gaps of k 2^-25: the bound 4 (d + 3)
         eps32 S is 4 (d + 3) such steps, without the input-rounding term
         4 (d + 2).  A gap between the two goes to stage 2, which settles it
         (its float64 bound is 1e-15), and a gap just over it settles in
-        stage 1."""
+        stage 1.  With stage 1 off, the float64 bound 4 (d + 2) eps S is
+        4 (d + 2) steps of 2^-54: a half-gap 2 steps under it reaches
+        cdist, and one 2 steps over it settles in float64."""
         both, first = [("float32", 1), ("float64", 1)], [("float32", 1)]
         for k, stages in ((4 * (d + 2) + 2, both), (4 * (d + 3) + 2, first)):
             screens.clear()
-            train = np.zeros((2, d))
-            train[:, 0] = [0.5, -(0.5 + k * 2.0**-24)]
-            test = np.zeros((1, d))
-            assert np.array_equal(_nearest(train, test), [0])
+            assert np.array_equal(_nearest(_edge_rows(d, k * 2.0**-25), np.zeros((1, d))), [0])
             assert screens == stages
         assert fallback_rows == []
+        monkeypatch.setattr(msa.classify, "_MAX_FLOAT32_WIDTH", FLOAT64_ONLY)
+        for k, fallen in ((4 * (d + 2) - 2, [1]), (4 * (d + 2) + 2, [])):
+            screens.clear()
+            fallback_rows.clear()
+            assert np.array_equal(_nearest(_edge_rows(d, k * 2.0**-54), np.zeros((1, d))), [0])
+            assert screens == [("float64", 1)]
+            assert fallback_rows == fallen
 
     def test_rounded_inputs_that_reverse_the_order(self, screens, fallback_rows):
         """Rounded to float32, the test point and the far row both move to
@@ -336,7 +351,7 @@ class TestFloat32Screen:
         ulp = 2.0**-23
         train = np.array([[1e-8], [2.0 - 0.2 * ulp]])
         test = np.array([[1.0 + 0.45 * ulp]])
-        best, unsettled, _ = msa.classify._screen_float32(test, train)
+        best, unsettled, _ = msa.classify._screen(test, train, np.float32)
         assert best.tolist() == [0] and unsettled.tolist() == [True]
         screens.clear()
         assert _nearest(train, test).tolist() == [1] == _cdist_nearest(train, test).tolist()
@@ -627,20 +642,31 @@ class TestSharedProduct:
             assert screens == []
 
     @pytest.mark.parametrize("d", [1, 3])
-    def test_column_bound_is_the_swapped_calls_bound(self, screens, fallback_rows, d):
+    def test_column_bound_is_the_swapped_calls_bound(self, monkeypatch, screens, fallback_rows, d):
         """TestFloat32Screen's bound test, seen from the other side: the
         two rows are the test set and the origin trains.  The column screen
         settles the swapped call's row past 4 (d + 3) steps of 2^-25, as
-        that call's own screen would, and leaves it to float64 below."""
+        that call's own screen would, and leaves it to float64 below.  With
+        stage 1 off it settles the row past 4 (d + 2) steps of 2^-54 and
+        leaves it to cdist below, the swapped call forming no product."""
         for k, stages in ((4 * (d + 2) + 2, [("float64", 1)]), (4 * (d + 3) + 2, [])):
-            test = np.zeros((2, d))
-            test[:, 0] = [0.5, -(0.5 + k * 2.0**-24)]
-            a, b = _labelled(np.zeros((1, d)), test)
+            a, b = _labelled(np.zeros((1, d)), _edge_rows(d, k * 2.0**-25))
             nn_classify(a, b)
             screens.clear()
             assert np.array_equal(nn_classify(b, a).predictions, [0])
             assert screens == stages
         assert fallback_rows == []
+        monkeypatch.setattr(msa.classify, "_MAX_FLOAT32_WIDTH", FLOAT64_ONLY)
+        for k, fallen in ((4 * (d + 2) - 2, [1]), (4 * (d + 2) + 2, [])):
+            a, b = _labelled(np.zeros((1, d)), _edge_rows(d, k * 2.0**-54))
+            screens.clear()
+            nn_classify(a, b)
+            assert screens == [("float64", 2)] and b in a._reverse_screens
+            screens.clear()
+            fallback_rows.clear()
+            assert np.array_equal(nn_classify(b, a).predictions, [0])
+            assert screens == [] and not a._reverse_screens
+            assert fallback_rows == fallen
 
     def test_a_record_is_used_once(self, rng, screens):
         """The swapped call pops the record; called again, it forms its own

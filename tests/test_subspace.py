@@ -750,9 +750,11 @@ def test_wide_gram_is_formed_in_column_blocks(rng, monkeypatch, width):
     X = rng.normal(size=(n, d)) * 3.0 + 0.5
     X[3, 5] = -40.0
     e = subspace._scale_exponent(X)
-    scaled = X * 2.0**-e
-    mean = scaled.mean(axis=0)
-    centred, f = subspace._recentred(scaled, mean)
+    centred = X * 2.0**-e
+    mean = centred.mean(axis=0)
+    centred -= mean
+    f = subspace._scale_exponent(centred)
+    centred *= 2.0**-f
     whole = centred @ centred.T
     monkeypatch.setattr(subspace, "_GRAM_BLOCK_BYTES", 8 * n * width)
     got_mean, got_f, gram = subspace._wide_gram(X, e)
