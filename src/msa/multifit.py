@@ -143,6 +143,16 @@ def _first_round(data: FeatureMatrix, k: int) -> tuple[Subspace, np.ndarray, np.
     return memo[k]
 
 
+def _is_first_round(fit: SubspaceCollection, data: FeatureMatrix) -> bool:
+    """Whether ``fit`` is one subspace, the very one ``_first_round`` keeps on ``data``.
+
+    That is the only Subspace two fits can share: every refit and later
+    round is a new object, made by the one fit that holds it.
+    """
+    kept = (base for base, _, _ in data._first_rounds.values())
+    return len(fit) == 1 and any(fit.subspaces[0] is base for base in kept)
+
+
 def fit_multi(data, k: int, tau: float, max_subspaces: int = 16) -> SubspaceCollection:
     """Decompose a dataset into a union of rank-<=k subspaces.
 
@@ -172,7 +182,9 @@ def fit_multi(data, k: int, tau: float, max_subspaces: int = 16) -> SubspaceColl
     accuracy to cancellation, from a copy of their rows.  The result
     depends only on the data and the three settings, so a caller may reuse
     it for the same data object; ``adapt``'s ``fit_cache`` keys fits by
-    (data object, k, tau, max_subspaces).
+    (data object, k, tau, max_subspaces), and keeps the overlap of a fit
+    pair only when one side is its domain's whole first round, the one
+    result that fits of different taus share.
 
     Args:
         data: FeatureMatrix or (N, d) array with N >= 2; an array is

@@ -26,7 +26,7 @@ from .classify import PredictionResult, evaluate_accuracy, nn_classify
 from .exceptions import ConfigError, DataFileError, DimensionMismatchError, MSAError
 from .grassmann import distance_matrix
 from .matching import Matching, greedy_match
-from .multifit import SubspaceCollection, _check_fit_settings, fit_multi
+from .multifit import SubspaceCollection, _check_fit_settings, _is_first_round, fit_multi
 from .subspace import FeatureMatrix
 
 logger = logging.getLogger(__name__)
@@ -247,7 +247,16 @@ def adapt(
             runs, keyed by (data, k, tau, max_subspaces) where ``data`` is
             the FeatureMatrix itself.  A FeatureMatrix hashes by identity,
             so a fit is reused only for the very object it was fitted on,
-            and the key keeps that object alive.
+            and the key keeps that object alive.  It also keeps the
+            read-only (distances, overlap) of recurring fit pairs, keyed by
+            (source subspaces, target subspaces); a Subspace is read-only
+            and hashes by identity too, so a kept pair is what
+            ``distance_matrix`` would form, bit for bit.  A pair is kept
+            only when one side is its domain's whole first round (one
+            subspace, the one every fit of that domain and k starts from):
+            every other subspace belongs to the one fit that made it, and
+            one fit key holds one tau, so a pair of two such fits belongs
+            to one config and never recurs.
 
     Returns:
         AdaptationResult with predictions, report and projected features.
@@ -274,10 +283,19 @@ def adapt(
                 cache[key] = fit_multi(data, config.k, tau, config.max_subspaces)
             return cache[key]
 
+        def overlap_of(src_fit, tgt_fit):
+            key = (src_fit.subspaces, tgt_fit.subspaces)
+            if key in cache:
+                return cache[key]
+            result = distance_matrix(*key)
+            if _is_first_round(src_fit, source) or _is_first_round(tgt_fit, target):
+                cache[key] = result
+            return result
+
         src_fit = _run_stage(stage_seconds, "fit_source", fit_domain, source, config.tau_s)
         tgt_fit = _run_stage(stage_seconds, "fit_target", fit_domain, target, config.tau_t)
         distances, overlap = _run_stage(
-            stage_seconds, "distance_matrix", distance_matrix, src_fit.subspaces, tgt_fit.subspaces,
+            stage_seconds, "distance_matrix", overlap_of, src_fit, tgt_fit,
         )
         matching = _run_stage(stage_seconds, "greedy_match", greedy_match, distances)
         source_features, target_features = _run_stage(

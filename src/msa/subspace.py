@@ -595,6 +595,10 @@ def _above_rounding(evals: np.ndarray, evecs: np.ndarray, order: int, trace: flo
     return evecs[:, ::-1][:, :rank], evals[::-1][:rank]
 
 
+# float64's tiny / eps (see reconstruction_errors).
+_UNDERFLOW_FREE = 2.0**-970
+
+
 def reconstruction_errors(data, subspace: Subspace) -> tuple[np.ndarray, np.ndarray]:
     """Relative squared reconstruction error and coordinates of each sample.
 
@@ -631,6 +635,20 @@ def reconstruction_errors(data, subspace: Subspace) -> tuple[np.ndarray, np.ndar
         centred = np.subtract(X, subspace.mean, out=X if isinstance(data, _Rows) else None)
         coords = centred @ subspace.basis
         den, unit = np.einsum("ij,ij->i", centred, centred), 0
+        # Squares below tiny lose bits to gradual underflow, at most 2^-1075
+        # each, so a squared norm of d terms and ||c||^2 of r terms are off by
+        # at most (d + r) 2^-1075 beyond their rounding: under eps times a
+        # norm of at least tiny / eps = 2^-970, at any d + r < 2^51.  Below
+        # that, the rows are scored again times a power of two, which is
+        # exact, so the errors are those of the rows at an ordinary scale
+        # (see _scale_exponent); without it, rows below about 2^-537 would
+        # all score 0.  A row at the mean (norm 0) takes this path too, to
+        # the same result.
+        if den.size and not den.min() >= _UNDERFLOW_FREE:
+            unit = _scale_exponent(centred)
+            centred = np.ldexp(centred, -unit)
+            coords = centred @ subspace.basis
+            den = np.einsum("ij,ij->i", centred, centred)
     # For c = B^T x, ||x - B c||^2 = ||x||^2 - ||c||^2 + c^T (B^T B - I) c, and
     # under the contract |c^T (B^T B - I) c| <= delta ||c||^2
     # <= delta (1 + delta) ||x||^2.  Dropping that term moves an error by at

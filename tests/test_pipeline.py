@@ -531,6 +531,76 @@ class TestRunBenchmark:
         smallest = min(fm.n_samples for fm in domains.values())
         assert parts and all(part.shape[0] < smallest for part in parts)
 
+    # On the planted seed-0 pair at k = 2, both domains keep their whole
+    # first round at tau 1.0 and beta at 0.6, while tau 0.3 splits both
+    # and 0.6 splits alpha: so the grid holds pairs that recur (SA with
+    # tau 1.0; alpha's tau-0.3 fit with beta's first round) and pairs of
+    # two split fits, which never recur.
+    OVERLAP_GRID = [
+        AdaptationConfig(k=1, method="na"),
+        AdaptationConfig(k=2, method="sa"),
+        AdaptationConfig(k=2, tau_s=1.0, tau_t=1.0),
+        AdaptationConfig(k=2, tau_s=0.3, tau_t=0.6),
+        AdaptationConfig(k=2, tau_s=0.3, tau_t=0.3),
+        AdaptationConfig(k=2, tau_s=0.3, tau_t=1.0),
+    ]
+
+    @staticmethod
+    def _recorded_run(dataset_dir):
+        """run_benchmark on OVERLAP_GRID, with every adapt call's arguments
+        and result and every distance_matrix call's arguments."""
+        calls, formed = [], []
+        adapt_, distance_matrix = pipeline.adapt, pipeline.distance_matrix
+
+        def recording_adapt(*args, **kwargs):
+            calls.append((args, kwargs, adapt_(*args, **kwargs)))
+            return calls[-1][2]
+
+        def counting(source, target):
+            formed.append((source, target))
+            return distance_matrix(source, target)
+
+        with mock.patch.object(pipeline, "adapt", recording_adapt), \
+                mock.patch.object(pipeline, "distance_matrix", counting):
+            result = run_benchmark(
+                dataset_dir, "plane", grid=TestRunBenchmark.OVERLAP_GRID, normalize=False
+            )
+        return result, calls, formed
+
+    def test_kept_overlaps_change_no_run(self, dataset_dir):
+        """Each run equals an adapt call of its config without a cache, bit
+        for bit: predictions, accuracy, matching and features."""
+        result, calls, _ = self._recorded_run(dataset_dir)
+        assert len(calls) == len(result.runs) == 2 * len(self.OVERLAP_GRID)
+        for (source, target, config), _, cached in calls:
+            fresh = adapt(source, target, config)
+            assert np.array_equal(cached.prediction.predictions, fresh.prediction.predictions)
+            assert cached.report.accuracy == fresh.report.accuracy
+            assert cached.report.matching == fresh.report.matching
+            assert np.array_equal(cached.source_features, fresh.source_features)
+            assert np.array_equal(cached.target_features, fresh.target_features)
+
+    def test_recurring_overlaps_are_formed_once(self, dataset_dir):
+        """SA and a proposed config that keeps both whole first rounds make
+        one distance_matrix call between them; a split fit paired with a
+        first round is formed once for all its taus; a pair of two split
+        fits is formed every time and never kept."""
+        _, calls, formed = self._recorded_run(dataset_dir)
+        assert len(set(map(tuple, formed))) == len(formed) == 7
+        cache = calls[0][1]["fit_cache"]
+        kept = [key for key in cache if len(key) == 2]
+        assert len(kept) == 4
+        assert all(min(len(subs) for subs in key) == 1 for key in kept)
+        for (source, target, config), _, cached in calls:
+            if config.method == "na":
+                continue
+            key = tuple(
+                cache[(data, config.k, tau, config.max_subspaces)].subspaces
+                for data, tau in ((source, config.tau_s), (target, config.tau_t))
+            )
+            split = cached.report.num_src_subspaces > 1 and cached.report.num_tgt_subspaces > 1
+            assert (key in cache) != split
+
     def test_na_forms_one_product_per_pair(self, tmp_path, monkeypatch):
         """On three domains 1100 wide, whose first screen is float64, an
         NA-only grid forms one product per unordered pair: the second run

@@ -391,6 +391,28 @@ class TestReconstructionError:
         for i in range(30):
             assert errs[i] == pytest.approx(reconstruction_errors(X[i : i + 1], sub)[0][0], abs=1e-12)
 
+    @pytest.mark.parametrize("rows", ["array", "tall pool"])
+    def test_tiny_rows_score_as_at_scale_one(self, rows):
+        """At 2^-560 squared norms underflow; the rows are then scored in
+        units of a power of two, which gives the errors at scale 1 bit for
+        bit and the coordinates scaled by 2^-560."""
+        X, _ = _wide_union(np.random.default_rng(5), 90, 300, 15.0)
+        if rows == "tall pool":
+            X = X.T[:, :40].copy()
+
+        def scored(scale):
+            data = X * scale
+            if rows == "array":
+                return reconstruction_errors(data, fit_pca(data, 6))
+            pool = _Rows(FeatureMatrix(data), np.arange(0, data.shape[0], 2))
+            return reconstruction_errors(pool, fit_pca(pool, 6))
+
+        errors, coords = scored(1.0)
+        tiny_errors, tiny_coords = scored(2.0**-560)
+        assert errors.max() > 0.1
+        assert np.array_equal(tiny_errors, errors)
+        assert np.array_equal(tiny_coords, coords * 2.0**-560)
+
     def test_full_rank_subspace_zero_error(self, rng):
         X = rng.normal(size=(20, 3))
         sub = fit_pca(X, 3)
