@@ -40,20 +40,11 @@ the training rows again.  For d >= h, or a float64 G of at most 32 MiB, all
 test rows form one block, the whole N_test x N_train G.  No bound depends on
 the blocking, so the labels are exactly ``cdist``'s either way.
 
-One product serves both directions of a pair.  The call with training set B
-and test set A ranks G = A B^T by rows; the call with the roles swapped
-ranks G^T, that is G by columns.  So when the first stage forms the whole G
-and the test set carries labels (it can train the swapped call), it also
-screens G's columns, against the swapped call's own bound (the one above
-with a and b exchanged), and keeps that call's nearest index and unsettled
-flag per row of B on B (weakly keyed by A).  The swapped call pops them as
-its first stage, forms no product for it, and takes its leftovers through
-the later stages as usual.  Only NA hands its domains, labels and all, to
-1-NN, so in ``run_benchmark``, which runs both directions of every pair, NA
-forms one product per pair instead of two.  A call that records, in one
-direction only as ``msa adapt`` runs it, pays for the column screen: on
-Office-Caltech-sized pairs it took 5-8% longer at d = 4096 (float64) and
-about 20% at d = 800 (float32), on a 2-core Xeon with OpenBLAS.
+One product serves both directions: ``nn_classify(b, a)`` ranks
+``nn_classify(a, b)``'s G by columns.  So ``nn_classify_both(a, b)``, when
+its first stage forms the whole G, also screens G's columns against the
+swapped call's own bound (the one above with a and b exchanged).  NA runs
+it in ``run_benchmark``, which runs both directions of every pair.
 
 scipy is imported by the first near tie, not with this module: ``import
 msa`` loads numpy alone, and most inputs never have a near tie."""
@@ -118,13 +109,24 @@ def nn_classify(train: FeatureMatrix, test: FeatureMatrix) -> PredictionResult:
         train: labelled training features.
         test: test features in the same dimension; their labels do not
             move the predictions (score them with :func:`evaluate_accuracy`).
-            With labels, a first stage that forms the whole product also
-            screens it for ``nn_classify(test, train)``; see the module
-            docstring.
 
     Returns:
         PredictionResult over the test samples.
     """
+    _check(train, test)
+    return _classify(train, test)
+
+
+def nn_classify_both(a: FeatureMatrix, b: FeatureMatrix) -> tuple[PredictionResult, PredictionResult]:
+    """``(nn_classify(a, b), nn_classify(b, a))`` exactly, both sets labelled,
+    from one first-stage product when it is whole; see the module docstring."""
+    _check(a, b)
+    _check(b, a)
+    best, unsettled, columns = _screen(b.data, a.data, _stages(a.n_features)[0], reverse=True)
+    return _classify(a, b, (best, unsettled)), _classify(b, a, columns)
+
+
+def _check(train: FeatureMatrix, test: FeatureMatrix) -> None:
     if train.labels is None:
         raise ConfigError("training data must carry labels")
     if train.n_samples < 1 or test.n_samples < 1:
@@ -134,32 +136,33 @@ def nn_classify(train: FeatureMatrix, test: FeatureMatrix) -> PredictionResult:
             f"training features have dimension {train.n_features}, "
             f"test features have dimension {test.n_features}"
         )
+
+
+def _stages(d: int) -> tuple:
+    return (np.float32, np.float64) if d <= _MAX_FLOAT32_WIDTH else (np.float64,)
+
+
+def _classify(train: FeatureMatrix, test: FeatureMatrix, first=None) -> PredictionResult:
+    """nn_classify of checked inputs; a given ``first`` is its first stage's (nearest, unsettled)."""
     a, b = test.data, train.data
     n_test, d = a.shape
-    dtypes = (np.float32, np.float64) if d <= _MAX_FLOAT32_WIDTH else (np.float64,)
-    # The first stage, if the call with the roles swapped screened it.
-    recorded = test._reverse_screens.pop(train, None)
     nearest = np.empty(n_test, dtype=np.intp)
     left = np.arange(n_test)  # the rows no screen has settled yet
-    with np.errstate(over="ignore", invalid="ignore"):
-        for stage, dtype in enumerate(dtypes):
-            if stage == 0 and recorded is not None:
-                best, unsettled = recorded
-            else:
-                # Only a labelled test set can train the swapped call.
-                reverse = stage == 0 and test.labels is not None
-                best, unsettled, columns = _screen(a if left.size == n_test else a[left], b, dtype, reverse)
-                if columns is not None:
-                    train._reverse_screens[test] = columns
-            nearest[left] = best
-            left = left[unsettled]
-            if not left.size:
-                break
+    for stage, dtype in enumerate(_stages(d)):
+        if stage == 0 and first is not None:
+            best, unsettled = first
+        else:
+            best, unsettled, _ = _screen(a if left.size == n_test else a[left], b, dtype)
+        nearest[left] = best
+        left = left[unsettled]
+        if not left.size:
+            break
     if left.size:
         nearest[left] = cdist(a[left], b, "sqeuclidean").argmin(axis=1)
     return PredictionResult(predictions=train.labels[nearest])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _screen(a: np.ndarray, b: np.ndarray, dtype, reverse: bool = False):
     """One stage: each row of ``a``'s nearest row of ``b`` under the G form,
     in ``dtype`` (float32 on copies scaled by one power of two, float64 on
@@ -242,20 +245,16 @@ def _screen(a: np.ndarray, b: np.ndarray, dtype, reverse: bool = False):
     height = max(1, _BLOCK_BYTES // (a.itemsize * n_train))
     if d >= height or 8 * n_test * n_train <= _MAX_WHOLE_BYTES:
         height = n_test
-    columns = None
-    if reverse and height == n_test:
-        columns = 0.5 * sq_a, bound(sq_b, sq_a)
+    whole = reverse and height == n_test
     nearest = np.empty(n_test, dtype=np.intp)
     unsettled = np.empty(n_test, dtype=bool)
     forward = bound(sq_a, sq_b)
-    swapped = None
     buffer = np.empty((min(height, n_test), n_train), dtype=a.dtype)
     for lo in range(0, n_test, height):
         hi = min(lo + height, n_test)
         g = buffer[: hi - lo]
         np.matmul(a[lo:hi], b.T, out=g)  # the only block of G held
-        if columns is not None:
-            swapped = _screen_columns(g, *columns)
+        swapped = _screen_columns(g, 0.5 * sq_a, bound(sq_b, sq_a)) if whole else None
         np.subtract(half_sq_b, g, out=g)  # g = (||b||^2 - 2 a.b) / 2
         nearest[lo:hi], unsettled[lo:hi] = _settle(g, forward[lo:hi])
     return nearest, unsettled, swapped

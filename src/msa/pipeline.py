@@ -22,7 +22,7 @@ import numpy as np
 
 from . import io
 from .alignment import build_features
-from .classify import PredictionResult, evaluate_accuracy, nn_classify
+from .classify import PredictionResult, evaluate_accuracy, nn_classify, nn_classify_both
 from .exceptions import ConfigError, DataFileError, DimensionMismatchError, MSAError
 from .grassmann import distance_matrix
 from .matching import Matching, greedy_match
@@ -256,7 +256,9 @@ def adapt(
             subspace, the one every fit of that domain and k starts from):
             every other subspace belongs to the one fit that made it, and
             one fit key holds one tau, so a pair of two such fits belongs
-            to one config and never recurs.
+            to one config and never recurs.  A labelled NA run keeps the
+            read-only predictions of both directions, keyed by ("na",
+            train, test): they depend on those two FeatureMatrix alone.
 
     Returns:
         AdaptationResult with predictions, report and projected features.
@@ -271,9 +273,16 @@ def adapt(
     start = time.perf_counter()
     stage_seconds: dict[str, float] = {}
 
+    classify = nn_classify
     if config.method == "na":
         train, test = source, target
         source_fit = target_fit = matching = None
+        if fit_cache is not None and target.labels is not None:
+            def classify(train, test):
+                key = ("na", train, test)
+                if key not in fit_cache:
+                    fit_cache[key], fit_cache[("na", test, train)] = nn_classify_both(train, test)
+                return fit_cache[key]
     else:
         cache = {} if fit_cache is None else fit_cache
 
@@ -305,7 +314,7 @@ def adapt(
         test = FeatureMatrix(target_features)
         source_fit, target_fit = FitSummary.of(src_fit), FitSummary.of(tgt_fit)
 
-    prediction = _run_stage(stage_seconds, "classify", nn_classify, train, test)
+    prediction = _run_stage(stage_seconds, "classify", classify, train, test)
     accuracy = None
     if target.labels is not None:
         accuracy = evaluate_accuracy(prediction.predictions, target.labels)

@@ -21,7 +21,6 @@ the d-space computation on copied rows instead when a screen fails.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple
 
@@ -82,14 +81,6 @@ class FeatureMatrix:
     # reconstruction errors and coordinates, by requested k:
     _first_rounds: dict[int, tuple[Subspace, np.ndarray, np.ndarray]] = field(
         default_factory=dict, init=False, repr=False
-    )
-    # The first screen of a coming nn_classify(train=key, test=self), as
-    # (nearest, unsettled) per row of ``data``: screened from the columns of
-    # the G that nn_classify(train=self, test=key) formed whole.  Weakly
-    # keyed, so that an entry keeps no other FeatureMatrix alive; the
-    # coming call pops it.
-    _reverse_screens: weakref.WeakKeyDictionary = field(
-        default_factory=weakref.WeakKeyDictionary, init=False, repr=False
     )
 
     def __post_init__(self, copy: bool):

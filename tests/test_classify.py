@@ -1,9 +1,7 @@
 """Nearest-neighbour classification and accuracy scoring."""
 
-import gc
 import tracemalloc
 import warnings
-import weakref
 
 import numpy as np
 import pytest
@@ -13,7 +11,7 @@ from scipy.spatial.distance import cdist
 
 import msa.classify
 from msa import AdaptationConfig, adapt
-from msa.classify import evaluate_accuracy, nn_classify
+from msa.classify import evaluate_accuracy, nn_classify, nn_classify_both
 from msa.exceptions import ConfigError, DegenerateDataError, DimensionMismatchError
 from msa.subspace import FeatureMatrix
 from msa.synthetic import planted_benchmark
@@ -418,45 +416,42 @@ class TestFloat32Screen:
         left = screens[10:]
         assert len(left) <= 1 and all(dtype == "float64" and rows < 100 for dtype, rows in left)
 
-    def test_holds_one_float32_block_and_the_two_copies(self, rng):
+    def test_holds_one_float32_block_and_the_two_copies(self, rng, screens):
         """Peak traced memory of that call: the float32 copies of both
         inputs (352 kB), one 2 MiB block, and vectors of n_test or n_train
         entries (113 kB with numpy 2.4).  A scaled float64 copy of either
         input (320 or 384 kB) held beside the block would overrun it.
 
-        A labelled test set adds only two vectors of n_train entries to
-        that blocked G, which records nothing.  Formed whole (1123 x 958 at
-        d = 20, 4.3 MB in float32), G is also screened by columns for the
-        swapped call, through one buffer of 466 columns (2 MiB over 1123
-        rows): that adds one block and vectors of n_train entries (46 kB
-        with numpy 2.4) to the call's peak."""
+        A labelled test set costs nothing more, whether G is blocked or,
+        as at 1123 x 958 and d = 20 (4.3 MB in float32), formed whole: the
+        call forms the same products, and screening G's columns for the
+        swapped call, which would add one 2 MiB buffer, is left to
+        nn_classify_both."""
         def peak(train, test):
             nn_classify(train, test)  # warm up
-            train._reverse_screens.clear()
+            screens.clear()
             tracemalloc.start()
             try:
                 nn_classify(train, test)
-                return tracemalloc.get_traced_memory()[1]
+                return tracemalloc.get_traced_memory()[1], list(screens)
             finally:
                 tracemalloc.stop()
 
         train = FeatureMatrix(rng.normal(size=(2400, 20)), np.arange(2400))
         rows = rng.normal(size=(2000, 20))
-        unlabelled = peak(train, FeatureMatrix(rows))
+        unlabelled, formed = peak(train, FeatureMatrix(rows))
         copies = 4 * (2000 + 2400) * 20
         block = 4 * 218 * 2400
         assert block < unlabelled <= copies + block + (256 << 10)
-        test = FeatureMatrix(rows, np.arange(2000))  # kept, so a record would stay
-        assert peak(train, test) - unlabelled <= 32 << 10
-        assert not train._reverse_screens
+        labelled, labelled_formed = peak(train, FeatureMatrix(rows, np.arange(2000)))
+        assert labelled - unlabelled <= 32 << 10 and labelled_formed == formed
 
         train = FeatureMatrix(rng.normal(size=(958, 20)), np.arange(958))
         rows = rng.normal(size=(1123, 20))
-        unlabelled = peak(train, FeatureMatrix(rows))
-        test = FeatureMatrix(rows, np.arange(1123))
-        added = peak(train, test) - unlabelled
-        assert test in train._reverse_screens
-        assert 4 * 1123 * 466 - (64 << 10) <= added <= msa.classify._BLOCK_BYTES + (64 << 10)
+        unlabelled, formed = peak(train, FeatureMatrix(rows))
+        assert formed[0] == ("float32", 1123)
+        labelled, labelled_formed = peak(train, FeatureMatrix(rows, np.arange(1123)))
+        assert labelled - unlabelled <= 32 << 10 and labelled_formed == formed
 
 
 class TestBlocks:
@@ -582,26 +577,26 @@ def _labelled(train, test):
 @settings(max_examples=100, deadline=None)
 @given(problem=_tied_problem())
 def test_both_call_orders_match_cdist_argmin(float32_width, block_columns, problem):
-    """A labelled test set records the swapped call's first stage, which
-    that call then pops; both calls equal cdist's argmin on tie-heavy
-    inputs.  The column screen runs whole, or in blocks of 1 or 3 columns
-    (2 or 6 in float32), the last one often partial."""
+    """nn_classify_both gives the labels of both one-way calls, and both
+    equal cdist's argmin on tie-heavy inputs.  The column screen runs
+    whole, or in blocks of 1 or 3 columns (2 or 6 in float32), the last
+    one often partial."""
     train, test = problem
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(msa.classify, "_MAX_FLOAT32_WIDTH", float32_width)
         if block_columns:
             patch.setattr(msa.classify, "_BLOCK_BYTES", 8 * len(test) * block_columns)
         a, b = _labelled(train, test)
-        forward = nn_classify(a, b).predictions
-        assert b in a._reverse_screens
-        reverse = nn_classify(b, a).predictions
-        assert not a._reverse_screens and not b._reverse_screens
+        forward, reverse = (r.predictions for r in nn_classify_both(a, b))
+        assert np.array_equal(forward, nn_classify(a, b).predictions)
+        assert np.array_equal(reverse, nn_classify(b, a).predictions)
     assert np.array_equal(forward, _cdist_nearest(train, test))
     assert np.array_equal(reverse, _cdist_nearest(test, train))
 
 
 class TestSharedProduct:
-    """The call with the roles swapped reuses the first stage's whole G."""
+    """nn_classify_both screens the first stage's whole G by rows for one
+    direction and by columns for the other."""
 
     @pytest.mark.parametrize("d", [6, 1100], ids=["float32", "float64"])
     def test_ties_across_the_two_sets(self, rng, monkeypatch, fallback_rows, d):
@@ -614,109 +609,80 @@ class TestSharedProduct:
         test = np.vstack([base[::-1], base[:2], (base[:2] + base[2:4]) / 2, rng.normal(size=(3, d))])
         monkeypatch.setattr(msa.classify, "_BLOCK_BYTES", 8 * len(test) * 2)
         a, b = _labelled(train, test)
-        forward = nn_classify(a, b).predictions
-        reverse = nn_classify(b, a).predictions
+        forward, reverse = (r.predictions for r in nn_classify_both(a, b))
+        # The tied rows of both directions reached cdist: all that the
+        # forward one ranks against the doubled base, and the two base rows
+        # that the test set holds twice, in each copy.
+        assert fallback_rows[0] >= 7 and fallback_rows[1] >= 4
+        assert np.array_equal(forward, nn_classify(a, b).predictions)
+        assert np.array_equal(reverse, nn_classify(b, a).predictions)
         assert np.array_equal(forward, _cdist_nearest(train, test))
         assert np.array_equal(reverse, _cdist_nearest(test, train))
         assert np.array_equal(forward[:7], np.r_[np.arange(5)[::-1], 0, 1])
         assert np.array_equal(reverse[:10], np.r_[np.arange(5)[::-1], np.arange(5)[::-1]])
-        # The tied rows of both calls reached cdist: all that the forward
-        # call ranks against the doubled base, and the two base rows that
-        # the test set holds twice, in each copy.
-        assert fallback_rows[0] >= 7 and fallback_rows[1] >= 4
 
     @pytest.mark.parametrize("d", [300, 1100], ids=["float32", "float64"])
     def test_swapped_call_forms_no_first_stage_product(self, rng, screens, fallback_rows, d):
-        """The swapped call forms no first-stage product.  In float64,
+        """The second direction forms no first-stage product.  In float64,
         where Gaussian rows all settle, it forms none at all; in float32 it
         forms float64 products for its few leftovers only."""
         train, test = rng.normal(size=(40, d)), rng.normal(size=(30, d))
-        a, b = _labelled(train, test)
-        assert np.array_equal(nn_classify(a, b).predictions, _cdist_nearest(train, test))
+        forward, reverse = nn_classify_both(*_labelled(train, test))
+        assert np.array_equal(forward.predictions, _cdist_nearest(train, test))
+        assert np.array_equal(reverse.predictions, _cdist_nearest(test, train))
         assert screens[0] == ("float32" if d <= 1024 else "float64", 30)
-        screens.clear()
-        assert np.array_equal(nn_classify(b, a).predictions, _cdist_nearest(test, train))
-        assert all(dtype == "float64" and rows < 10 for dtype, rows in screens)
+        assert all(dtype == "float64" and rows < 10 for dtype, rows in screens[1:])
         assert fallback_rows == []
         if d > 1024:
-            assert screens == []
+            assert screens == [("float64", 30)]
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_column_bound_is_the_swapped_calls_bound(self, monkeypatch, screens, fallback_rows, d):
         """TestFloat32Screen's bound test, seen from the other side: the
-        two rows are the test set and the origin trains.  The column screen
-        settles the swapped call's row past 4 (d + 3) steps of 2^-25, as
-        that call's own screen would, and leaves it to float64 below.  With
-        stage 1 off it settles the row past 4 (d + 2) steps of 2^-54 and
-        leaves it to cdist below, the swapped call forming no product."""
+        two rows are one set and the origin the other.  The column screen
+        settles the origin's row past 4 (d + 3) steps of 2^-25, as its own
+        screen would, and leaves it to float64 below.  With stage 1 off it
+        settles the row past 4 (d + 2) steps of 2^-54 and leaves it to
+        cdist below, forming no second product."""
         for k, stages in ((4 * (d + 2) + 2, [("float64", 1)]), (4 * (d + 3) + 2, [])):
             a, b = _labelled(np.zeros((1, d)), _edge_rows(d, k * 2.0**-25))
-            nn_classify(a, b)
             screens.clear()
-            assert np.array_equal(nn_classify(b, a).predictions, [0])
-            assert screens == stages
+            assert np.array_equal(nn_classify_both(a, b)[1].predictions, [0])
+            assert screens == [("float32", 2)] + stages
         assert fallback_rows == []
         monkeypatch.setattr(msa.classify, "_MAX_FLOAT32_WIDTH", FLOAT64_ONLY)
         for k, fallen in ((4 * (d + 2) - 2, [1]), (4 * (d + 2) + 2, [])):
             a, b = _labelled(np.zeros((1, d)), _edge_rows(d, k * 2.0**-54))
             screens.clear()
-            nn_classify(a, b)
-            assert screens == [("float64", 2)] and b in a._reverse_screens
-            screens.clear()
             fallback_rows.clear()
-            assert np.array_equal(nn_classify(b, a).predictions, [0])
-            assert screens == [] and not a._reverse_screens
+            assert np.array_equal(nn_classify_both(a, b)[1].predictions, [0])
+            assert screens == [("float64", 2)]
             assert fallback_rows == fallen
 
-    def test_a_record_is_used_once(self, rng, screens):
-        """The swapped call pops the record; called again, it forms its own
-        product and records for the first direction in turn."""
-        a, b = _labelled(rng.normal(size=(40, 1100)), rng.normal(size=(30, 1100)))
-        nn_classify(a, b)
-        nn_classify(b, a)
-        screens.clear()
-        nn_classify(b, a)
-        assert screens == [("float64", 40)]
-        assert a in b._reverse_screens and not a._reverse_screens
-        nn_classify(a, b)
-        assert screens == [("float64", 40)]
-        assert not b._reverse_screens
-
-    def test_nothing_recorded_without_a_whole_first_stage_or_labels(self, rng, monkeypatch, screens):
-        """An unlabelled test set cannot train the swapped call; a blocked
-        G is never whole; past 2^+-400, stage 1 forms no product and
-        stage 2 is not the first."""
-        # Each test set is kept alive, so that a record would stay.
-        train = FeatureMatrix(rng.normal(size=(30, 2)), np.arange(30))
+    def test_second_direction_screens_alone_without_a_whole_first_stage(self, rng, monkeypatch, screens):
+        """Both sets must be labelled.  A blocked G is never whole, and
+        past 2^+-400 stage 1 forms no product and stage 2 is not the
+        first: then the second direction forms its own first stage."""
         rows = rng.normal(size=(20, 2))
-        unlabelled, labelled = FeatureMatrix(rows), FeatureMatrix(rows, np.arange(20))
-        nn_classify(train, unlabelled)
-        assert screens == [("float32", 20)]
-        assert not train._reverse_screens
+        train = FeatureMatrix(rng.normal(size=(30, 2)), np.arange(30))
+        for a, b in ((train, FeatureMatrix(rows)), (FeatureMatrix(rows), train)):
+            with pytest.raises(ConfigError, match="labels"):
+                nn_classify_both(a, b)
+        assert screens == []
+        test = FeatureMatrix(rows, np.arange(20))
         with monkeypatch.context() as patch:
             _use_blocks(patch, 30, 3)
-            nn_classify(train, labelled)
-            assert screens[-1] == ("float32", 2)  # the last of 7 blocks
-            assert not train._reverse_screens
-        nn_classify(train, labelled)  # the control: whole, it records
-        assert labelled in train._reverse_screens
+            nn_classify_both(train, test)
+            assert screens[:4] == [("float32", 6)] * 3 + [("float32", 2)]
+            assert sum(n for dtype, n in screens[4:] if dtype == "float32") == 30
+        screens.clear()
+        nn_classify_both(train, test)  # the control: whole, G serves both
+        assert screens[0] == ("float32", 20) and ("float32", 30) not in screens
         screens.clear()
         scale = 2.0**410
-        far = FeatureMatrix(rng.normal(size=(30, 2)) * scale, np.arange(30))
-        far_test = FeatureMatrix(rows * scale, np.arange(20))
-        nn_classify(far, far_test)
-        assert screens[0] == ("float64", 20)
-        assert not far._reverse_screens
-
-    def test_a_record_keeps_no_other_matrix_alive(self, rng):
-        train, test = _labelled(rng.normal(size=(20, 3)), rng.normal(size=(10, 3)))
-        nn_classify(train, test)
-        assert len(train._reverse_screens) == 1
-        gone = weakref.ref(test)
-        del test
-        gc.collect()
-        assert gone() is None
-        assert len(train._reverse_screens) == 0
+        far = FeatureMatrix(train.data * scale, np.arange(30))
+        nn_classify_both(far, FeatureMatrix(rows * scale, np.arange(20)))
+        assert screens[:2] == [("float64", 20), ("float64", 30)]
 
 
 class TestEvaluateAccuracy:

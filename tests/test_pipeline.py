@@ -601,12 +601,10 @@ class TestRunBenchmark:
             split = cached.report.num_src_subspaces > 1 and cached.report.num_tgt_subspaces > 1
             assert (key in cache) != split
 
-    def test_na_forms_one_product_per_pair(self, tmp_path, monkeypatch):
-        """On three domains 1100 wide, whose first screen is float64, an
-        NA-only grid forms one product per unordered pair: the second run
-        of each pair pops the first's record.  Every run's labels are
-        cdist's argmin, and a single NA adapt call gives the labels of an
-        unlabelled target, which records nothing."""
+    @staticmethod
+    def _wide_domains(tmp_path):
+        """Three labelled domains 1100 wide, whose first screen is float64,
+        written to ``tmp_path`` as the "wide" features."""
         rng = np.random.default_rng(5)
         domains = {
             name: FeatureMatrix(rng.normal(size=(n, 1100)), rng.integers(0, 4, n))
@@ -615,37 +613,81 @@ class TestRunBenchmark:
         for name, fm in domains.items():
             save_features_binary(tmp_path / f"{name}_wide.bin", fm.data)
             save_labels(tmp_path / f"{name}_wide.labels", fm.labels)
-        products, runs = [], []
-        matmul, nn_classify = np.matmul, classify.nn_classify
+        return domains
+
+    @staticmethod
+    def _na_runs(tmp_path, grid, monkeypatch):
+        """run_benchmark's adapt calls as (source, target, predictions), and
+        the (rows of one side, rows of the other) of every 1-NN product."""
+        runs, products = [], []
+        adapt_, matmul = pipeline.adapt, np.matmul
+
+        def recording(source, target, *args, **kwargs):
+            result = adapt_(source, target, *args, **kwargs)
+            runs.append((source, target, result.prediction.predictions))
+            return result
 
         def counting(x, y, *args, **kwargs):
             products.append(frozenset((x.shape[0], y.shape[1])))
             return matmul(x, y, *args, **kwargs)
 
-        def recording(train, test):
-            result = nn_classify(train, test)
-            runs.append((train, test, result.predictions))
-            return result
-
         with monkeypatch.context() as patch:
+            patch.setattr(pipeline, "adapt", recording)
             patch.setattr(classify.np, "matmul", counting)
-            patch.setattr(pipeline, "nn_classify", recording)
-            result = run_benchmark(tmp_path, "wide", grid=[AdaptationConfig(k=1, method="na")])
-        assert len(result.runs) == len(runs) == 6
-        for train, test, predictions in runs:
-            nearest = cdist(test.data, train.data, "sqeuclidean").argmin(axis=1)
-            assert np.array_equal(predictions, train.labels[nearest])
+            result = run_benchmark(tmp_path, "wide", grid=grid)
+        assert len(result.runs) == len(runs) == 6 * len(grid)
+        for source, target, predictions in runs:
+            nearest = cdist(target.data, source.data, "sqeuclidean").argmin(axis=1)
+            assert np.array_equal(predictions, source.labels[nearest])
+        return runs, products
+
+    def test_na_forms_one_product_per_pair(self, tmp_path, monkeypatch):
+        """An NA-only grid forms one product per unordered pair: the first
+        run of each pair classifies both directions.  Every run's labels
+        are cdist's argmin."""
+        domains = self._wide_domains(tmp_path)
+        _, products = self._na_runs(tmp_path, [AdaptationConfig(k=1, method="na")], monkeypatch)
         sizes = [fm.n_samples for fm in domains.values()]
         assert sorted(products, key=sorted) == sorted(
             (frozenset(pair) for pair in itertools.combinations(sizes, 2)), key=sorted
         )
 
+    def test_na_listed_twice_keeps_cdist_labels(self, tmp_path, monkeypatch):
+        """A grid that lists NA twice still forms one product per unordered
+        pair, and gives cdist's labels in every one of its 12 runs."""
+        self._wide_domains(tmp_path)
+        na = AdaptationConfig(k=1, method="na")
+        runs, products = self._na_runs(tmp_path, [na, na], monkeypatch)
+        assert len(products) == 3
+        for i in range(0, len(runs), 2):
+            assert np.array_equal(runs[i][2], runs[i + 1][2])
+
+    def test_one_na_run_screens_one_direction(self, tmp_path, monkeypatch):
+        """An NA adapt call without a fit cache screens no columns for the
+        swapped run, even with a labelled target, and gives cdist's labels;
+        with a cache it classifies both directions once."""
+        domains = self._wide_domains(tmp_path)
         source, target = domains["alpha"], domains["beta"]
-        single = adapt(source, target, AdaptationConfig(k=1, method="na"))
-        unlabelled = nn_classify(source, FeatureMatrix(target.data))
-        assert np.array_equal(single.prediction.predictions, unlabelled.predictions)
+        na = AdaptationConfig(k=1, method="na")
+        columns = []
+        screen_columns = classify._screen_columns
+
+        def counting(*args):
+            columns.append(args[0].shape)
+            return screen_columns(*args)
+
+        monkeypatch.setattr(classify, "_screen_columns", counting)
+        single = adapt(source, target, na)
+        assert columns == []
         nearest = cdist(target.data, source.data, "sqeuclidean").argmin(axis=1)
-        assert np.array_equal(unlabelled.predictions, source.labels[nearest])
+        assert np.array_equal(single.prediction.predictions, source.labels[nearest])
+        cache: dict = {}
+        cached = adapt(source, target, na, fit_cache=cache)
+        swapped = adapt(target, source, na, fit_cache=cache)
+        assert columns == [(24, 30)]
+        assert np.array_equal(cached.prediction.predictions, single.prediction.predictions)
+        nearest = cdist(source.data, target.data, "sqeuclidean").argmin(axis=1)
+        assert np.array_equal(swapped.prediction.predictions, target.labels[nearest])
 
     def test_logs_one_progress_line_per_ordered_pair(self, dataset_dir, small_grid, caplog):
         with caplog.at_level(logging.INFO, logger="msa.pipeline"):
