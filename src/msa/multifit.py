@@ -15,18 +15,16 @@ from numbers import Real
 import numpy as np
 
 from .exceptions import ConfigError, DegenerateDataError, DimensionMismatchError
-from .subspace import (
+from .subspace import (  # noqa: F401  (_CHECK_ROWS: _fittable's block height)
+    _CHECK_ROWS,
     FeatureMatrix,
     Subspace,
+    _fittable,
     _frozen_array,
     _Rows,
     fit_pca,
     reconstruction_errors,
 )
-
-# Rows per block that _fittable compares with a pool's first row: at
-# d = 4096 a block copies 2 MiB.
-_CHECK_ROWS = 64
 
 
 def _check_fit_settings(**settings) -> None:
@@ -105,33 +103,18 @@ class SubspaceCollection:
         return len(self.subspaces)
 
 
-def _fittable(X: np.ndarray, picked: np.ndarray) -> bool:
-    """Whether ``X[picked]`` can support a PCA fit: >= 2 samples, not all identical.
-
-    ``picked`` holds row numbers.  The rows are compared with the first of
-    them a block at a time, so no copy of all of them is made, and the
-    check stops at the first block holding a different row.
-    """
-    if picked.size < 2:
-        return False
-    first = X[picked[0]]
-    for lo in range(1, picked.size, _CHECK_ROWS):
-        if np.any(X[picked[lo:lo + _CHECK_ROWS]] != first):
-            return True
-    return False
-
-
 def _first_round(data: FeatureMatrix, k: int) -> tuple[Subspace, np.ndarray, np.ndarray]:
     """``fit_pca(data, k)`` and its errors and coordinates, once per (data, k).
 
     Every fit of a domain starts from this subspace and its scoring,
-    whatever its tau or cap.  A FeatureMatrix is read-only and hashes by
-    identity, so the memo on it can only ever return a round of this very
-    data; the errors and coordinates are kept read-only.  When the domain is
-    wide (N < d), the fit keeps its centred Gram matrix K on ``data``, and
-    the scoring needs no work in R^d: the coordinates are the leading
-    eigenvectors of K times the square roots of their eigenvalues, and the
-    squared norms of the centred samples are K's diagonal.
+    whatever its tau or cap, which is why ``adapt``'s ``fit_cache`` may
+    keep its overlaps (see ``adapt``).  A FeatureMatrix is read-only and
+    hashes by identity, so the memo on it can only ever return a round of
+    this very data; the errors and coordinates are kept read-only.  When the
+    domain is wide (N < d), the fit keeps its centred Gram matrix K on
+    ``data``, and the scoring needs no work in R^d: the coordinates are the
+    leading eigenvectors of K times the square roots of their eigenvalues,
+    and the squared norms of the centred samples are K's diagonal.
     """
     memo = data._first_rounds
     if k not in memo:
@@ -181,10 +164,8 @@ def fit_multi(data, k: int, tau: float, max_subspaces: int = 16) -> SubspaceColl
     (see ``msa.subspace``), and on a tall one, or where that would lose
     accuracy to cancellation, from a copy of their rows.  The result
     depends only on the data and the three settings, so a caller may reuse
-    it for the same data object; ``adapt``'s ``fit_cache`` keys fits by
-    (data object, k, tau, max_subspaces), and keeps the overlap of a fit
-    pair only when one side is its domain's whole first round, the one
-    result that fits of different taus share.
+    it for the same data object, as ``adapt``'s ``fit_cache`` does (see
+    ``adapt`` for its rules).
 
     Args:
         data: FeatureMatrix or (N, d) array with N >= 2; an array is

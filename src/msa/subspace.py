@@ -13,10 +13,11 @@ summed over column blocks of C, so C is never formed whole.  A basis is
 then C^T V Lambda^{-1/2} for eigenpairs (V, Lambda) of K, formed as one
 product of the raw rows with V, and falls back to the SVD of C^T V when
 that is outside the contract.  A subset of the domain's rows (``_Rows``, a
-pool of ``fit_multi``) takes its own centred Gram from K and is scored from
-K's rows, so refits and their scoring copy no rows.  Each step screens for
-the cancellation that working from K or from raw rows can bring, and takes
-the d-space computation on copied rows instead when a screen fails.
+pool of ``fit_multi``) takes its own centred Gram from K.  The domain
+against its own fit and a pool against a fit of rows, the pairings
+``fit_multi`` scores, are scored from K, so refits and their scoring copy
+no rows.  Each step screens for the cancellation that working from K or
+from raw rows can bring, and works on copied rows when a screen fails.
 """
 
 from __future__ import annotations
@@ -199,6 +200,29 @@ def _sample_array(data) -> np.ndarray:
     return arr
 
 
+# _fittable's largest block of rows (2 MiB at d = 4096).
+_CHECK_ROWS = 64
+
+
+def _fittable(X: np.ndarray, picked: np.ndarray) -> bool:
+    """Whether ``X[picked]`` can support a PCA fit: >= 2 samples, not all identical.
+
+    ``picked`` holds row numbers.  The rows are compared with the first in
+    blocks that double from one row to _CHECK_ROWS, up to the first block
+    holding a different row: rows that differ early, as nearly all do, copy
+    only a few, where a block of 64 can be a third of a small wide domain.
+    """
+    if picked.size < 2:
+        return False
+    first = X[picked[0]]
+    lo, height = 1, 1
+    while lo < picked.size:
+        if np.any(X[picked[lo:lo + height]] != first):
+            return True
+        lo, height = lo + height, min(2 * height, _CHECK_ROWS)
+    return False
+
+
 class _GramSpectrum(NamedTuple):
     """The half of ``fit_pca`` that does not depend on k.
 
@@ -274,7 +298,8 @@ def fit_pca(data, k: int) -> Subspace:
     basis is bit for bit the one a fresh array of the same rows gives.  A
     wide FeatureMatrix also keeps its centred Gram matrix K, and rows of it
     passed as ``_Rows`` are fitted from K[I, I] with their own mean (see
-    ``_fit_rows_from_gram``) rather than from a copy of the rows.
+    ``_fit_rows_from_gram``).  Where that returns None, a copy of the rows
+    is fitted; their entries are not checked again.
 
     Args:
         data: FeatureMatrix, ``_Rows`` of one, or (N, d) array, N >= 2.
@@ -291,7 +316,6 @@ def fit_pca(data, k: int) -> Subspace:
         fit = _fit_rows_from_gram(data, k)
         if fit is not None:
             return fit
-        data = _sample_array(data)
     X = _sample_array(data)
     n, d = X.shape
     if n < 2:
@@ -304,7 +328,7 @@ def fit_pca(data, k: int) -> Subspace:
     if spectrum is None:
         # Compare the rows, not the centred rank: the mean of identical rows
         # need not round to their value, which leaves rounding noise to fit.
-        if not np.any(X != X[0]):
+        if not _fittable(X, np.arange(n)):
             raise DegenerateDataError("all samples are identical; no principal direction")
         spectrum = _gram_spectrum(X, keep_gram=isinstance(data, FeatureMatrix))
         if isinstance(data, FeatureMatrix):
@@ -313,21 +337,15 @@ def fit_pca(data, k: int) -> Subspace:
     mean = np.ldexp(spectrum.mean, spectrum.exponent)
     if n >= d:
         return Subspace(basis=axes * _column_signs(axes), mean=mean)
-    fit = _column_scaled(X, None, axes, values, spectrum, mean, spectrum.trace)
-    if fit is None:
-        # C in the spectrum's units, as its Gram was formed.
-        centred = X * 2.0**-spectrum.exponent
-        centred -= spectrum.mean
-        centred *= 2.0**-spectrum.shift
-        # C^T V holds the principal directions scaled by the square roots of
-        # their eigenvalues; its left singular vectors are those directions,
-        # orthonormal to working precision.
-        basis = np.linalg.svd(centred.T @ axes, full_matrices=False)[0]
-        return Subspace(basis=basis * _column_signs(basis), mean=mean)
-    subspace, axes = fit
-    if spectrum.gram is not None:
-        object.__setattr__(subspace, "_gram", _GramFit(spectrum.gram, None, None, 0.0, axes, values))
-    return subspace
+    fit = _column_scaled(X, None, axes, values, spectrum, mean, spectrum.trace, None, 0.0)
+    if fit is not None:
+        return fit
+    # C^T V, with C in the spectrum's units as its Gram was formed, holds the
+    # principal directions times the square roots of their eigenvalues; its
+    # left singular vectors are those directions, orthonormal to rounding.
+    centred = _centred(X, spectrum.mean, spectrum.exponent, spectrum.shift)
+    basis = np.linalg.svd(centred.T @ axes, full_matrices=False)[0]
+    return Subspace(basis=basis * _column_signs(basis), mean=mean)
 
 
 def _column_signs(basis: np.ndarray) -> np.ndarray:
@@ -339,15 +357,17 @@ def _column_signs(basis: np.ndarray) -> np.ndarray:
     return np.where(first < 0, -1.0, 1.0)
 
 
-def _column_scaled(X, rows, axes, values, spectrum, mean, trace):
+def _column_scaled(X, rows, axes, values, spectrum, mean, trace, row_means, centre):
     """The subspace C^T V Lambda^{-1/2} formed from raw rows, or None.
 
     C is rows ``rows`` of X (all when None) less ``mean``; ``axes`` V and
     ``values`` Lambda are eigenpairs of C C^T in units of
     2^(2 (e + f)) (e and f from ``spectrum``), and ``trace`` its trace.
-    Returns the subspace and V with the basis's column signs, read-only, or
-    None when the rows lie too far from their mean for the product or the
-    basis is outside the contract.
+    Returns the Subspace, or None when the rows lie too far from their mean
+    for the product or the basis is outside the contract.  When
+    ``spectrum`` keeps its Gram K, the Subspace carries the read-only
+    ``_GramFit`` of K, ``rows``, ``row_means`` and ``centre`` (None and 0.0
+    for all rows), V with the basis's column signs and Lambda.
 
     The columns of C^T V are orthogonal with norms sqrt(Lambda), so scaling
     them gives the basis with no SVD.  C is never formed: the product is
@@ -393,9 +413,13 @@ def _column_scaled(X, rows, axes, values, spectrum, mean, trace):
         subspace = Subspace(basis=basis, mean=mean)
     except DegenerateDataError:
         return None
-    axes = axes * signs
-    axes.setflags(write=False)
-    return subspace, axes
+    if spectrum.gram is not None:
+        record = _GramFit(spectrum.gram, rows, row_means, centre, axes * signs, values)
+        for a in (row_means, record.axes, values):
+            if a is not None:
+                a.setflags(write=False)
+        object.__setattr__(subspace, "_gram", record)
+    return subspace
 
 
 def _fit_rows_from_gram(rows: _Rows, k: int) -> Subspace | None:
@@ -407,15 +431,11 @@ def _fit_rows_from_gram(rows: _Rows, k: int) -> Subspace | None:
     K[I, I] double-centred; its eigenpairs give the basis through
     ``_column_scaled``, and the subspace remembers them for scoring.
     """
-    spectrum = rows.matrix._spectrum
-    I = rows.index
-    m = I.size
-    X = rows.matrix.data
-    d = X.shape[1]
+    spectrum, I, X = rows.matrix._spectrum, rows.index, rows.matrix.data
+    m, d = rows.shape
     if spectrum is None or spectrum.gram is None or m < 2 or not 1 <= k <= min(m, d):
         return None
-    gram = spectrum.gram
-    block = gram[np.ix_(I, I)]
+    block = spectrum.gram[np.ix_(I, I)]
     row_means = block.mean(axis=1)
     centre = float(row_means.mean())
     outer = np.trace(block)
@@ -454,14 +474,7 @@ def _fit_rows_from_gram(rows: _Rows, k: int) -> Subspace | None:
     weights = np.zeros(X.shape[0])
     weights[I] = 1.0 / m
     mean = weights @ X
-    fit = _column_scaled(X, I, axes, values, spectrum, mean, trace)
-    if fit is None:
-        return None
-    subspace, axes = fit
-    values.setflags(write=False)
-    row_means.setflags(write=False)
-    object.__setattr__(subspace, "_gram", _GramFit(gram, I, row_means, centre, axes, values))
-    return subspace
+    return _column_scaled(X, I, axes, values, spectrum, mean, trace, row_means, centre)
 
 
 def _scale_exponent(*arrays: np.ndarray) -> int:
@@ -475,6 +488,17 @@ def _scale_exponent(*arrays: np.ndarray) -> int:
     """
     top = max(max(a.max(), -a.min()) for a in arrays)
     return max(int(np.frexp(top)[1]), -1021)
+
+
+def _centred(X: np.ndarray, mean: np.ndarray, e: int, f: int) -> np.ndarray:
+    """A fresh (X 2^-e - mean) 2^-f: samples X less ``mean`` (in units of 2^e),
+    in the units 2^(e + f) of a Gram formed from them.  The scalings are by
+    powers of two, so each value is the d-space one times 2^-(e + f).
+    """
+    centred = X * 2.0**-e
+    centred -= mean
+    centred *= 2.0**-f
+    return centred
 
 
 # A wide domain's Gram matrix is formed from column blocks of its centred
@@ -512,9 +536,7 @@ def _wide_gram(X: np.ndarray, e: int) -> tuple[np.ndarray, int, np.ndarray]:
     f = _scale_exponent(np.array(top))
     gram = None
     for cols in spans:
-        block = X[:, cols] * 2.0**-e
-        block -= mean[cols]
-        block *= 2.0**-f
+        block = _centred(X[:, cols], mean[cols], e, f)
         if gram is None:
             gram = block @ block.T
         else:
@@ -596,9 +618,10 @@ def reconstruction_errors(data, subspace: Subspace) -> tuple[np.ndarray, np.ndar
     For a centred sample x = row - mean the error is
     ||x - B B^T x||^2 / ||x||^2, computed under the orthonormality contract
     as 1 - ||B^T x||^2 / ||x||^2 and clipped to [0, 1]; a sample equal to
-    the mean reports 0.  A subspace fitted from a domain's kept Gram matrix
-    scores that domain or ``_Rows`` of it from the Gram matrix instead (see
-    ``_scores_from_gram``), falling back to the rows when a screen fails.
+    the mean reports 0.  The pairings ``fit_multi`` makes with a subspace
+    fitted from a domain's kept Gram, the domain against its own fit and
+    ``_Rows`` of it against a fit of rows, are scored from that Gram (see
+    ``_scores_from_gram``), except for rows that fail a screen there.
 
     Args:
         data: FeatureMatrix, ``_Rows`` of one, or (N, d) array.
@@ -652,74 +675,50 @@ def reconstruction_errors(data, subspace: Subspace) -> tuple[np.ndarray, np.ndar
     return np.clip(errors, 0.0, 1.0), np.ldexp(coords, unit) if unit else coords
 
 
-def _centred_rows(matrix: FeatureMatrix, picked: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """Rows ``picked`` of a domain with a kept spectrum, less ``mean``, in
-    the units of its Gram matrix.
-
-    The scalings are by powers of two, so each value is the d-space one
-    times 2^-(e + f), rounded alike.
-    """
-    e = matrix._spectrum.exponent
-    centred = np.ldexp(matrix.data[picked], -e)
-    centred -= np.ldexp(mean, -e)
-    centred *= 2.0**-matrix._spectrum.shift
-    return centred
-
-
 def _scores_from_gram(data, subspace: Subspace) -> tuple[np.ndarray, np.ndarray, int] | None:
     """Squared norms ||x - mean||^2 and coordinates of ``data`` from a kept Gram.
 
     Both are in the Gram's units: returns them with the u for which the
     coordinates times 2^u are the ones of the samples themselves.
 
-    None unless ``subspace`` was fitted from the Gram matrix K that ``data``
-    (a FeatureMatrix or ``_Rows`` of one) keeps.  For pool rows P and fit
-    rows I, the centred inner products are K[P, I] less the mean correction
-    of the fit (see ``_fit_rows_from_gram``), the coordinates those times
-    V Lambda^{-1/2}, and the squared norms K_pp - 2 a_p + s.  When P is I,
-    the coordinates are V Lambda^{1/2} and need no product.  A pool row
-    that fails the cancellation screen is scored from its own row instead.
+    Serves the two pairings ``fit_multi`` makes of a domain with kept Gram K
+    and a subspace fitted from K; None for any other.
+    * The domain (a FeatureMatrix) against its whole-domain fit: the
+      squared norms are K's diagonal, the coordinates V Lambda^{1/2}.
+    * ``_Rows`` P of it against a fit of rows I: the coordinates are
+      V Lambda^{1/2} when P is I, else K[P, I] less the fit's mean
+      correction (see ``_fit_rows_from_gram``) times V Lambda^{-1/2}; the
+      squared norms are K_pp - 2 a_p + s.  A pool row that fails the
+      cancellation screen is scored from its own row instead.
     """
     fit = subspace._gram
-    if isinstance(data, FeatureMatrix):
-        matrix, pool = data, None
-    elif isinstance(data, _Rows):
-        matrix, pool = data
-    else:
+    matrix, pool = data if isinstance(data, _Rows) else (data, None)
+    spectrum = matrix._spectrum if isinstance(matrix, FeatureMatrix) else None
+    kept = fit is not None and spectrum is not None and spectrum.gram is fit.gram
+    if not kept or (pool is None) != (fit.rows is None):
         return None
-    spectrum = matrix._spectrum
-    if fit is None or spectrum is None or spectrum.gram is not fit.gram:
-        return None
-    gram, rows = fit.gram, fit.rows
-    diag = np.diagonal(gram) if pool is None else gram[pool, pool]
-    if (pool is None) == (rows is None) and (pool is None or np.array_equal(pool, rows)):
+    e, f = spectrum.exponent, spectrum.shift
+    if pool is None:
+        return np.diagonal(fit.gram), fit.axes * np.sqrt(fit.values), e + f
+    if np.array_equal(pool, fit.rows):
         coords = fit.axes * np.sqrt(fit.values)
         means = fit.row_means
     else:
-        if pool is None:
-            block = gram[:, rows]
-        elif rows is None:
-            block = gram[pool]
-        else:
-            block = gram[np.ix_(pool, rows)]
-        means = None
-        if fit.row_means is not None:
-            means = block.mean(axis=1)
-            block -= means[:, np.newaxis]
-            block -= fit.row_means
-            block += fit.centre
+        block = fit.gram[np.ix_(pool, fit.rows)]
+        means = block.mean(axis=1)
+        block -= means[:, np.newaxis]
+        block -= fit.row_means
+        block += fit.centre
         coords = block @ (fit.axes / np.sqrt(fit.values))
-    if means is None:
-        norms = diag
-    else:
-        # (c_p - delta).(c_p - delta) = K_pp - 2 a_p + s.  Each term carries
-        # the rounding of K relative to its own size, so the norm's relative
-        # error grows by (K_pp + 2 |a_p| + s) / norm, screened as a fit's.
-        norms = diag - 2.0 * means + fit.centre
-        amplified = diag + 2.0 * np.abs(means) + fit.centre
-        redo = np.flatnonzero(~(amplified <= _MAX_AMPLIFICATION * norms))
-        if redo.size:
-            centred = _centred_rows(matrix, redo if pool is None else pool[redo], subspace.mean)
-            coords[redo] = centred @ subspace.basis
-            norms[redo] = np.einsum("ij,ij->i", centred, centred)
-    return norms, coords, spectrum.exponent + spectrum.shift
+    # (c_p - delta).(c_p - delta) = K_pp - 2 a_p + s.  Each term carries the
+    # rounding of K relative to its own size, so the norm's relative error
+    # grows by (K_pp + 2 |a_p| + s) / norm, screened as a fit's.
+    diag = fit.gram[pool, pool]
+    norms = diag - 2.0 * means + fit.centre
+    amplified = diag + 2.0 * np.abs(means) + fit.centre
+    redo = np.flatnonzero(~(amplified <= _MAX_AMPLIFICATION * norms))
+    if redo.size:
+        centred = _centred(matrix.data[pool[redo]], np.ldexp(subspace.mean, -e), e, f)
+        coords[redo] = centred @ subspace.basis
+        norms[redo] = np.einsum("ij,ij->i", centred, centred)
+    return norms, coords, e + f

@@ -588,8 +588,10 @@ class TestWideBasis:
 
 def test_no_fallback_on_the_generated_domains():
     """On the benchmark's seed-0 decaf and surf domains (surf z-scored) no
-    wide fit takes the SVD or fits a copy of its rows, and no scoring
-    rescores a row from the rows, at the benchmark's k and tau."""
+    wide fit takes the SVD or fits a copy of its rows, every scoring is
+    served from the kept Gram, and none rescores a row from the rows, at the
+    benchmark's k and tau.  Each domain is fitted once first: forming its
+    Gram centres the column blocks through ``_centred`` too."""
     import sys
     from pathlib import Path
 
@@ -599,14 +601,19 @@ def test_no_fallback_on_the_generated_domains():
     from msa.multifit import fit_multi
     from msa.pipeline import zscore
 
-    fits, fallbacks = [], []
+    fits, fallbacks, served = [], [], []
 
     def rows_fit(rows, k):
         out = fit_rows(rows, k)
         (fits if out is not None else fallbacks).append(rows.shape)
         return out
 
-    fit_rows = subspace._fit_rows_from_gram
+    def gram_scores(data, sub):
+        out = scores(data, sub)
+        served.append(out is not None)
+        return out
+
+    fit_rows, scores = subspace._fit_rows_from_gram, subspace._scores_from_gram
     for workload, ks in (("decaf-grid", (80,)), ("surf-grid", (20, 45, 80))):
         for name, (x, _) in generate.domains(workload, 0).items():
             if x.shape[0] >= x.shape[1]:
@@ -614,13 +621,16 @@ def test_no_fallback_on_the_generated_domains():
             fm = FeatureMatrix(zscore(x) if workload == "surf-grid" else x)
             with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd, \
                     mock.patch.object(subspace, "_fit_rows_from_gram", side_effect=rows_fit), \
-                    mock.patch.object(subspace, "_centred_rows", wraps=subspace._centred_rows) as rescored:
-                for k in ks:
-                    for tau in (0.4, 0.6):
-                        fit_multi(fm, k, tau)
+                    mock.patch.object(subspace, "_scores_from_gram", side_effect=gram_scores):
+                fit_pca(fm, ks[0])
+                with mock.patch.object(subspace, "_centred", wraps=subspace._centred) as rescored:
+                    for k in ks:
+                        for tau in (0.4, 0.6):
+                            fit_multi(fm, k, tau)
             assert svd.call_count == 0, (workload, name)
             assert rescored.call_count == 0, (workload, name)
     assert fits and not fallbacks
+    assert served and all(served)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -659,6 +669,22 @@ def test_gram_refits_match_the_d_space(seed, spread):
             assert np.abs(coords - d_coords).max() <= GRAM_SCORE_TOL * np.abs(d_coords).max()
 
 
+def test_other_pairings_are_scored_from_the_rows():
+    """The Gram serves only the pairings fit_multi makes.  The whole domain
+    against a fit of rows, and a pool against the whole-domain fit, are
+    scored from copied rows, bit for bit as a fresh array of them."""
+    X, plane = _wide_union(np.random.default_rng(2), 90, 300, 3.0)
+    fm = FeatureMatrix(X)
+    whole = fit_pca(fm, 18)
+    part = fit_pca(_Rows(fm, np.flatnonzero(plane != 1)), 12)
+    assert whole._gram is not None and part._gram is not None
+    pool = np.arange(0, 90, 3)
+    for data, sub, picked in ((fm, part, np.arange(90)), (_Rows(fm, pool), whole, pool)):
+        errors, coords = reconstruction_errors(data, sub)
+        d_errors, d_coords = reconstruction_errors(X[picked].copy(), sub)
+        assert np.array_equal(errors, d_errors) and np.array_equal(coords, d_coords)
+
+
 def test_far_rows_fall_back_to_the_d_space():
     """Rows whose mean lies so far from the domain's that the correction
     would cost more than 3 bits (here about 4) are fitted from a copy, bit
@@ -682,11 +708,25 @@ def test_far_rows_fall_back_to_the_d_space():
     fit_pca(fm, 18)
     sub = fit_pca(_Rows(fm, rows), 6)
     assert sub._gram is not None
-    with mock.patch.object(subspace, "_centred_rows", wraps=subspace._centred_rows) as rescored:
+    with mock.patch.object(subspace, "_centred", wraps=subspace._centred) as rescored:
         errors, coords = reconstruction_errors(_Rows(fm, np.arange(90)), sub)
     assert rescored.call_count == 1
-    assert 0 < rescored.call_args.args[1].size < 90
-    assert set(rescored.call_args.args[1]) <= set(rows)
+    # The rescored rows, found by value among the domain's.
+    moved, mean, e, f = rescored.call_args.args
+    picked = np.flatnonzero((X[:, np.newaxis] == moved).all(axis=2).any(axis=1))
+    assert 0 < picked.size == moved.shape[0] < 90
+    assert set(picked) <= set(rows)
+    assert (e, f) == (fm._spectrum.exponent, fm._spectrum.shift)
+    assert np.array_equal(mean, np.ldexp(sub.mean, -e))
+    # _centred equals the ldexp form of the same centring bit for bit, here
+    # and at 2^+-500.
+    for power in (0, 500, -500):
+        scaled, p_mean = np.ldexp(moved, power), np.ldexp(sub.mean, power)
+        ldexp_form = np.ldexp(scaled, -(e + power))
+        ldexp_form -= np.ldexp(p_mean, -(e + power))
+        ldexp_form *= 2.0**-f
+        centred = subspace._centred(scaled, np.ldexp(p_mean, -(e + power)), e + power, f)
+        assert centred.tobytes() == ldexp_form.tobytes()
     d_errors, d_coords = reconstruction_errors(X.copy(), sub)
     assert np.abs(errors - d_errors).max() <= GRAM_SCORE_TOL
     assert np.abs(coords - d_coords).max() <= GRAM_SCORE_TOL * np.abs(d_coords).max()
