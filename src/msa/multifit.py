@@ -15,8 +15,7 @@ from numbers import Real
 import numpy as np
 
 from .exceptions import ConfigError, DegenerateDataError, DimensionMismatchError
-from .subspace import (  # noqa: F401  (_CHECK_ROWS: _fittable's block height)
-    _CHECK_ROWS,
+from .subspace import (
     FeatureMatrix,
     Subspace,
     _fittable,
@@ -107,11 +106,12 @@ def _first_round(data: FeatureMatrix, k: int) -> tuple[Subspace, np.ndarray, np.
     """``fit_pca(data, k)`` and its errors and coordinates, once per (data, k).
 
     Every fit of a domain starts from this subspace and its scoring,
-    whatever its tau or cap, which is why ``adapt``'s ``fit_cache`` may
-    keep its overlaps (see ``adapt``).  A FeatureMatrix is read-only and
-    hashes by identity, so the memo on it can only ever return a round of
-    this very data; the errors and coordinates are kept read-only.  When the
-    domain is wide (N < d), the fit keeps its centred Gram matrix K on
+    whatever its tau or cap, so every fit that keeps its whole first round
+    holds this one Subspace object; ``adapt`` states the rule by which its
+    ``fit_cache`` keeps such a fit's overlaps.  A FeatureMatrix is read-only
+    and hashes by identity, so the memo on it can only ever return a round
+    of this very data; the errors and coordinates are kept read-only.  When
+    the domain is wide (N < d), the fit keeps its centred Gram matrix K on
     ``data``, and the scoring needs no work in R^d: the coordinates are the
     leading eigenvectors of K times the square roots of their eigenvalues,
     and the squared norms of the centred samples are K's diagonal.
@@ -124,16 +124,6 @@ def _first_round(data: FeatureMatrix, k: int) -> tuple[Subspace, np.ndarray, np.
         coords.setflags(write=False)
         memo[k] = (base, errors, coords)
     return memo[k]
-
-
-def _is_first_round(fit: SubspaceCollection, data: FeatureMatrix) -> bool:
-    """Whether ``fit`` is one subspace, the very one ``_first_round`` keeps on ``data``.
-
-    That is the only Subspace two fits can share: every refit and later
-    round is a new object, made by the one fit that holds it.
-    """
-    kept = (base for base, _, _ in data._first_rounds.values())
-    return len(fit) == 1 and any(fit.subspaces[0] is base for base in kept)
 
 
 def fit_multi(data, k: int, tau: float, max_subspaces: int = 16) -> SubspaceCollection:

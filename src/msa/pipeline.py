@@ -26,7 +26,7 @@ from .classify import PredictionResult, evaluate_accuracy, nn_classify, nn_class
 from .exceptions import ConfigError, DataFileError, DimensionMismatchError, MSAError
 from .grassmann import distance_matrix
 from .matching import Matching, greedy_match
-from .multifit import SubspaceCollection, _check_fit_settings, _is_first_round, fit_multi
+from .multifit import SubspaceCollection, _check_fit_settings, fit_multi
 from .subspace import FeatureMatrix
 
 logger = logging.getLogger(__name__)
@@ -140,23 +140,14 @@ class AdaptationReport:
         return 0 if self.target_fit is None else len(self.target_fit.ranks)
 
     def to_dict(self) -> dict:
+        fields = asdict(self)
         return {
-            "domain_pair": [self.source, self.target],
-            "accuracy": self.accuracy,
+            "domain_pair": [fields.pop("source"), fields.pop("target")],
+            "accuracy": fields.pop("accuracy"),
             "num_src_subspaces": self.num_src_subspaces,
             "num_tgt_subspaces": self.num_tgt_subspaces,
-            "source_fit": _plain(self.source_fit),
-            "target_fit": _plain(self.target_fit),
-            "matching": _plain(self.matching),
-            "feature_dim": self.feature_dim,
-            "config": asdict(self.config),
-            "wall_time": self.wall_time,
-            "stage_seconds": dict(self.stage_seconds),
+            **fields,
         }
-
-
-def _plain(record) -> dict | None:
-    return None if record is None else asdict(record)
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,13 +243,18 @@ def adapt(
             (source subspaces, target subspaces); a Subspace is read-only
             and hashes by identity too, so a kept pair is what
             ``distance_matrix`` would form, bit for bit.  A pair is kept
-            only when one side is its domain's whole first round (one
-            subspace, the one every fit of that domain and k starts from):
-            every other subspace belongs to the one fit that made it, and
-            one fit key holds one tau, so a pair of two such fits belongs
-            to one config and never recurs.  A labelled NA run keeps the
-            read-only predictions of both directions, keyed by ("na",
-            train, test): they depend on those two FeatureMatrix alone.
+            when either fit is one subspace.  Every fit of a domain and k
+            that keeps its whole first round holds the same Subspace
+            object, so its overlaps recur from config to config.  A fit of
+            two or more subspaces holds later rounds that only it made,
+            and one fit key holds one tau, so a pair of two such fits
+            belongs to one config and never recurs.  The one other
+            one-subspace fit, a round-1 refit whose rest held no two
+            distinct samples, is kept though it does not recur: at most one
+            overlap per config, one side of rank at most k.  A labelled NA
+            run keeps the read-only predictions of both directions, keyed
+            by ("na", train, test): they depend on those two FeatureMatrix
+            alone.
 
     Returns:
         AdaptationResult with predictions, report and projected features.
@@ -297,7 +293,7 @@ def adapt(
             if key in cache:
                 return cache[key]
             result = distance_matrix(*key)
-            if _is_first_round(src_fit, source) or _is_first_round(tgt_fit, target):
+            if 1 in (len(src_fit), len(tgt_fit)):
                 cache[key] = result
             return result
 

@@ -13,6 +13,11 @@ def random_orthonormal(rng, d, r):
     return q
 
 
+def span(basis):
+    """The Subspace through the origin spanned by ``basis``'s columns."""
+    return Subspace(basis, np.zeros(basis.shape[0]))
+
+
 def total_reconstruction_error(data, subspace: Subspace) -> float:
     """Sum of unnormalised squared residuals ||x - B B^T x||^2 over samples."""
     X = _sample_array(data)

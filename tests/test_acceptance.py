@@ -23,7 +23,7 @@ from msa.pipeline import AdaptationConfig, adapt, run_benchmark
 from msa.subspace import FeatureMatrix, Subspace, fit_pca, reconstruction_errors
 from msa.synthetic import planted_benchmark
 
-from conftest import random_orthonormal, total_reconstruction_error
+from conftest import random_orthonormal, span, total_reconstruction_error
 
 DATA_DIR = Path(os.environ.get("MSA_DATA_DIR", "data"))
 
@@ -46,10 +46,6 @@ def verdict(capsys):
     return run
 
 
-def _sub(basis):
-    return Subspace(basis, np.zeros(basis.shape[0]))
-
-
 def test_criterion_1_invariants_and_oracles(verdict):
     """Metric invariants and optimality oracles for every numeric kernel."""
     with verdict(1, "invariants and oracles"):
@@ -61,8 +57,8 @@ def test_criterion_1_invariants_and_oracles(verdict):
             d = int(rng.integers(2, 9))
             r1 = int(rng.integers(1, d + 1))
             r2 = int(rng.integers(1, d + 1))
-            a = _sub(random_orthonormal(rng, d, r1))
-            b = _sub(random_orthonormal(rng, d, r2))
+            a = span(random_orthonormal(rng, d, r1))
+            b = span(random_orthonormal(rng, d, r2))
             ab = distance_matrix((a,), (b,))[0][0, 0]
             ba = distance_matrix((b,), (a,))[0][0, 0]
             # compare squared distances: sqrt is ill-conditioned at zero
@@ -71,7 +67,7 @@ def test_criterion_1_invariants_and_oracles(verdict):
             assert 0.0 <= ab <= np.sqrt(max(r1, r2)) + 1e-12
             q = random_orthonormal(rng, d, d)
             rotated = distance_matrix(
-                (_sub(q @ a.basis),), (_sub(q @ b.basis),)
+                (span(q @ a.basis),), (span(q @ b.basis),)
             )[0][0, 0]
             assert abs(rotated**2 - ab**2) <= 1e-8
             assert abs(rotated - ab) <= 1e-7
@@ -94,7 +90,7 @@ def test_criterion_1_invariants_and_oracles(verdict):
         for _ in range(5):
             bs = random_orthonormal(rng, 8, 3)
             bt = random_orthonormal(rng, 8, 3)
-            transform = distance_matrix((_sub(bs),), (_sub(bt),))[1]
+            transform = distance_matrix((span(bs),), (span(bt),))[1]
             best = np.linalg.norm(bs @ transform - bt)
             for _ in range(500):
                 alt = rng.normal(size=(3, 3)) * rng.uniform(0.2, 2.0)

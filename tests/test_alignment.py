@@ -8,14 +8,8 @@ from msa.exceptions import ConfigError, DimensionMismatchError
 from msa.grassmann import distance_matrix
 from msa.matching import Matching, greedy_match
 from msa.multifit import fit_multi
-from msa.subspace import Subspace
 
-from conftest import random_orthonormal
-
-
-def _sub(basis, mean=None):
-    d = basis.shape[0]
-    return Subspace(basis, np.zeros(d) if mean is None else mean)
+from conftest import random_orthonormal, span
 
 
 def _transform(source, target):
@@ -29,19 +23,19 @@ class TestAlignPair:
 
     def test_identical_subspaces_reproduce_target(self, rng):
         basis = random_orthonormal(rng, 6, 2)
-        transform = _transform(_sub(basis), _sub(basis))
+        transform = _transform(span(basis), span(basis))
         assert np.allclose(basis @ transform, basis, atol=1e-12)
 
     def test_orthogonal_subspaces_collapse(self):
         e = np.eye(4)
-        transform = _transform(_sub(e[:, :2]), _sub(e[:, 2:4]))
+        transform = _transform(span(e[:, :2]), span(e[:, 2:4]))
         assert np.allclose(transform, 0.0)
 
     def test_transform_is_frobenius_optimal(self, rng):
         """No other r x r transform brings the source basis closer (500 draws)."""
         bs = random_orthonormal(rng, 8, 3)
         bt = random_orthonormal(rng, 8, 3)
-        best = np.linalg.norm(bs @ _transform(_sub(bs), _sub(bt)) - bt)
+        best = np.linalg.norm(bs @ _transform(span(bs), span(bt)) - bt)
         for _ in range(500):
             candidate = rng.normal(size=(3, 3)) * rng.uniform(0.2, 2.0)
             assert best <= np.linalg.norm(bs @ candidate - bt) + 1e-9
@@ -50,7 +44,7 @@ class TestAlignPair:
         """Small perturbations of the optimal transform never help."""
         bs = random_orthonormal(rng, 6, 2)
         bt = random_orthonormal(rng, 6, 2)
-        star = _transform(_sub(bs), _sub(bt))
+        star = _transform(span(bs), span(bt))
         best = np.linalg.norm(bs @ star - bt)
         for _ in range(100):
             e = rng.normal(size=(2, 2))
@@ -62,21 +56,21 @@ class TestAlignPair:
         bs = random_orthonormal(rng, 6, 2)
         q, r = np.linalg.qr(np.eye(6) + 0.3 * rng.normal(size=(6, 6)))
         bt = q @ bs
-        transform = _transform(_sub(bs), _sub(bt))
+        transform = _transform(span(bs), span(bt))
         assert np.linalg.norm(bs @ transform - bt) < np.linalg.norm(bs - bt)
 
     def test_rank_mismatch_truncates(self, rng):
         bs = random_orthonormal(rng, 7, 3)
         bt = random_orthonormal(rng, 7, 2)
-        transform = _transform(_sub(bs), _sub(bt))
+        transform = _transform(span(bs), span(bt))
         assert transform.shape == (2, 2)
         assert np.allclose(transform, bs[:, :2].T @ bt, atol=1e-12)
 
     def test_ambient_mismatch(self, rng):
         with pytest.raises(DimensionMismatchError):
             _transform(
-                _sub(random_orthonormal(rng, 4, 2)),
-                _sub(random_orthonormal(rng, 5, 2)),
+                span(random_orthonormal(rng, 4, 2)),
+                span(random_orthonormal(rng, 5, 2)),
             )
 
 

@@ -10,14 +10,10 @@ from msa.exceptions import DimensionMismatchError
 from msa.grassmann import _stacked, distance_matrix
 from msa.matching import greedy_match
 from msa.multifit import fit_multi
-from msa.subspace import ORTHONORMAL_TOL, Subspace
+from msa.subspace import ORTHONORMAL_TOL
 from msa.synthetic import planted_benchmark
 
-from conftest import random_orthonormal
-
-
-def _sub(basis):
-    return Subspace(basis, np.zeros(basis.shape[0]))
+from conftest import random_orthonormal, span
 
 
 def _distance(a, b):
@@ -28,16 +24,16 @@ def _distance(a, b):
 class TestDirectionalDistance:
     def test_identical_is_zero(self, rng):
         basis = random_orthonormal(rng, 6, 3)
-        assert _distance(_sub(basis), _sub(basis)) == 0.0
+        assert _distance(span(basis), span(basis)) == 0.0
 
     def test_orthogonal_axes(self):
         e = np.eye(3)
-        d = _distance(_sub(e[:, :1]), _sub(e[:, 1:2]))
+        d = _distance(span(e[:, :1]), span(e[:, 1:2]))
         assert d == pytest.approx(1.0)
 
     def test_plane_vs_contained_line(self):
         e = np.eye(3)
-        d = _distance(_sub(e[:, :2]), _sub(e[:, :1]))
+        d = _distance(span(e[:, :2]), span(e[:, :1]))
         # max rank 2, overlap 1
         assert d == pytest.approx(1.0)
 
@@ -53,7 +49,7 @@ class TestDirectionalDistance:
             expected = np.sqrt(
                 np.sum(np.sin(angles) ** 2) + abs(r1 - r2)
             )
-            got = _distance(_sub(b1), _sub(b2))
+            got = _distance(span(b1), span(b2))
             assert got == pytest.approx(expected, abs=1e-8)
 
     def test_symmetry(self, rng):
@@ -61,8 +57,8 @@ class TestDirectionalDistance:
             d = int(rng.integers(2, 8))
             b1 = random_orthonormal(rng, d, int(rng.integers(1, d + 1)))
             b2 = random_orthonormal(rng, d, int(rng.integers(1, d + 1)))
-            ab = _distance(_sub(b1), _sub(b2))
-            ba = _distance(_sub(b2), _sub(b1))
+            ab = _distance(span(b1), span(b2))
+            ba = _distance(span(b2), span(b1))
             # squared form stays well conditioned when the distance is zero
             assert ab**2 == pytest.approx(ba**2, abs=1e-10)
             assert ab == pytest.approx(ba, abs=1e-7)
@@ -74,7 +70,7 @@ class TestDirectionalDistance:
             r2 = int(rng.integers(1, d + 1))
             b1 = random_orthonormal(rng, d, r1)
             b2 = random_orthonormal(rng, d, r2)
-            dist = _distance(_sub(b1), _sub(b2))
+            dist = _distance(span(b1), span(b2))
             assert 0.0 <= dist <= np.sqrt(max(r1, r2)) + 1e-12
 
     def test_rotation_invariance(self, rng):
@@ -84,8 +80,8 @@ class TestDirectionalDistance:
             b1 = random_orthonormal(rng, d, 2)
             b2 = random_orthonormal(rng, d, 2)
             q = random_orthonormal(rng, d, d)
-            before = _distance(_sub(b1), _sub(b2))
-            after = _distance(_sub(q @ b1), _sub(q @ b2))
+            before = _distance(span(b1), span(b2))
+            after = _distance(span(q @ b1), span(q @ b2))
             assert after == pytest.approx(before, abs=1e-8)
 
     def test_basis_choice_invariance(self, rng):
@@ -93,15 +89,15 @@ class TestDirectionalDistance:
         b = random_orthonormal(rng, 6, 3)
         other = random_orthonormal(rng, 6, 2)
         rot = random_orthonormal(rng, 3, 3)
-        assert _distance(_sub(b), _sub(other)) == pytest.approx(
-            _distance(_sub(b @ rot), _sub(other)), abs=1e-8
+        assert _distance(span(b), span(other)) == pytest.approx(
+            _distance(span(b @ rot), span(other)), abs=1e-8
         )
 
     def test_ambient_mismatch(self, rng):
         with pytest.raises(DimensionMismatchError):
             _distance(
-                _sub(random_orthonormal(rng, 4, 2)),
-                _sub(random_orthonormal(rng, 5, 2)),
+                span(random_orthonormal(rng, 4, 2)),
+                span(random_orthonormal(rng, 5, 2)),
             )
 
 
@@ -141,7 +137,7 @@ class TestDistanceMatrix:
         Subspace accepts; the radicand, -1.6e-8, lies within the slack."""
         basis = random_orthonormal(rng, 12, 10) * (1.0 + 4e-10)
         assert np.linalg.norm(basis.T @ basis - np.eye(10)) <= ORTHONORMAL_TOL
-        sub = _sub(basis)
+        sub = span(basis)
         assert distance_matrix((sub,), (sub,))[0][0, 0] == 0.0
 
     def test_fit_against_itself_has_an_exactly_zero_diagonal(self):
@@ -156,8 +152,8 @@ class TestDistanceMatrix:
         rng = np.random.default_rng(0)
         basis = random_orthonormal(rng, 6, 3)
         rotated = np.linalg.qr(basis @ random_orthonormal(rng, 3, 3))[0]
-        source = (_sub(basis),)
-        for target in ((_sub(basis), _sub(rotated)), (_sub(rotated), _sub(basis))):
+        source = (span(basis),)
+        for target in ((span(basis), span(rotated)), (span(rotated), span(basis))):
             distances, _ = distance_matrix(source, target)
             assert np.array_equal(distances, np.zeros((1, 2)))
             assert greedy_match(distances).pairs == ((0, 0, 0.0),)
@@ -166,15 +162,15 @@ class TestDistanceMatrix:
         """Two lines at angle theta have radicand sin^2 theta; with r0 = 1 the
         slack is 2 ORTHONORMAL_TOL (1 + ORTHONORMAL_TOL), about 2e-8."""
         slack = 2 * ORTHONORMAL_TOL * (1 + ORTHONORMAL_TOL)
-        line = _sub(np.array([[1.0], [0.0]]))
+        line = span(np.array([[1.0], [0.0]]))
         for radicand, expected in ((0.5 * slack, 0.0), (2 * slack, np.sqrt(2 * slack))):
             theta = np.arcsin(np.sqrt(radicand))
-            tilted = _sub(np.array([[np.cos(theta)], [np.sin(theta)]]))
+            tilted = span(np.array([[np.cos(theta)], [np.sin(theta)]]))
             assert _distance(line, tilted) == pytest.approx(expected, rel=1e-6, abs=0.0)
 
     def test_one_basis_is_used_without_a_copy(self, rng):
         """A one-subspace side is its basis itself; several are stacked."""
-        a, b = _sub(random_orthonormal(rng, 6, 2)), _sub(random_orthonormal(rng, 6, 3))
+        a, b = span(random_orthonormal(rng, 6, 2)), span(random_orthonormal(rng, 6, 3))
         assert _stacked((a,)) is a.basis
         assert np.array_equal(_stacked((a, b)), np.hstack([a.basis, b.basis]))
 
@@ -184,7 +180,7 @@ def _subspaces(draw, d, count, k):
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     ranks = draw(st.lists(st.integers(1, k), min_size=count, max_size=count))
-    return tuple(_sub(random_orthonormal(rng, d, r)) for r in ranks)
+    return tuple(span(random_orthonormal(rng, d, r)) for r in ranks)
 
 
 @st.composite

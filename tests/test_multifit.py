@@ -13,13 +13,13 @@ from scipy.linalg import subspace_angles
 from msa import multifit
 from msa.exceptions import ConfigError, DegenerateDataError, DimensionMismatchError
 from msa.multifit import SubspaceCollection, fit_multi
-from msa.subspace import FeatureMatrix, Subspace, fit_pca, reconstruction_errors
+from msa.subspace import _CHECK_ROWS, FeatureMatrix, Subspace, fit_pca, reconstruction_errors
 from msa.synthetic import planted_benchmark
 
 from conftest import GRAM_SCORE_TOL, random_orthonormal
 
 
-class TestFitConfig:
+class TestFitSettings:
     """The settings fit_multi takes alongside the data."""
 
     def test_tau_one_allowed(self):
@@ -99,7 +99,7 @@ class TestFittable:
         assert not multifit._fittable(pool, np.flatnonzero([True, False, True, True]))
         assert multifit._fittable(pool, np.flatnonzero([True, True, False, False]))
 
-    @pytest.mark.parametrize("odd", [1, multifit._CHECK_ROWS, multifit._CHECK_ROWS + 1, 199])
+    @pytest.mark.parametrize("odd", [1, _CHECK_ROWS, _CHECK_ROWS + 1, 199])
     def test_finds_a_different_row_in_any_block(self, odd):
         pool = np.ones((200, 3))
         pool[odd, 2] = 2.0

@@ -470,7 +470,7 @@ def test_errors_match_the_residual_form_under_the_contract(drawn):
     assert np.all((errors >= 0.0) & (errors <= ERRORS_ATOL))
 
 
-class TestProject:
+class TestReconstructionCoordinates:
     """The coordinates reconstruction_errors returns with the errors."""
 
     def test_identity_basis(self):
