@@ -5,8 +5,9 @@ Two feature-file formats are supported and auto-detected:
 * CSV: one sample per row, d numeric columns, comma separated; blank lines
   (empty or whitespace only) are skipped and text after ``#`` is a comment.
   The first line that is neither blank nor comment-only is a header (and
-  skipped) when, with its comment removed, it contains any token that does
-  not parse as a number.
+  skipped) when, with its comment removed, none of its tokens parses as a
+  number; a line with any numeric token is data, so ``1,,3`` or ``NA,2,3``
+  first fails at its bad cell rather than being skipped.
 * Binary: magic bytes ``MSA1``, then N and d as little-endian uint32 (both
   at least 1), then N * d little-endian float64 values in row-major order,
   and nothing after them.
@@ -36,12 +37,14 @@ MAGIC = b"MSA1"
 
 
 def _detect_header(first_line: str) -> bool:
+    """Whether the line is a header: no cell of it parses as a number."""
     for token in first_line.split(","):
         try:
             float(token.strip())
         except ValueError:
-            return True
-    return False
+            continue
+        return False
+    return True
 
 
 def _load_csv(path: Path) -> np.ndarray:

@@ -9,15 +9,15 @@ the one projection of samples into a subspace's frame.
 
 A wide domain (N < d) is fitted in the space of its centred Gram matrix
 K = C C^T (N x N), which a FeatureMatrix keeps from its first fit; K is
-summed over column blocks of C, so C is never formed whole.  A basis is
-then C^T V Lambda^{-1/2} for eigenpairs (V, Lambda) of K, formed as one
-product of the raw rows with V, and falls back to the SVD of C^T V when
-that is outside the contract.  A subset of the domain's rows (``_Rows``, a
-pool of ``fit_multi``) takes its own centred Gram from K.  The domain
-against its own fit and a pool against a fit of rows, the pairings
-``fit_multi`` scores, are scored from K, so refits and their scoring copy
-no rows.  Each step screens for the cancellation that working from K or
-from raw rows can bring, and works on copied rows when a screen fails.
+summed over column blocks of C, so C is never formed whole.  Every fit
+takes one path (see ``fit_pca``): a spectrum, cut to k, then eigenvectors
+or column scaling, then a copy of the rows or the SVD where that fails.
+Rows of the domain (``_Rows``, a pool of ``fit_multi``) take their
+spectrum from K, and a subspace fitted from K keeps its spectrum, cut to
+its rank.  The domain against its own fit and a pool against a fit of
+rows, the pairings ``fit_multi`` scores, are scored from K, so refits and
+their scoring copy no rows.  Each step screens for the cancellation that
+working from K or raw rows can bring, and uses copied rows when one fails.
 """
 
 from __future__ import annotations
@@ -134,9 +134,9 @@ class Subspace:
 
     basis: np.ndarray
     mean: np.ndarray
-    # Set by fit_pca on a domain that keeps its Gram matrix: how
-    # reconstruction_errors reads coordinates off that Gram.
-    _gram: _GramFit | None = field(default=None, init=False, repr=False)
+    # Set by fit_pca on a domain that keeps its Gram matrix: the spectrum
+    # the basis was formed from, which reconstruction_errors reads off.
+    _gram: _GramSpectrum | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         basis = _frozen_array(self.basis)
@@ -224,7 +224,7 @@ def _fittable(X: np.ndarray, picked: np.ndarray) -> bool:
 
 
 class _GramSpectrum(NamedTuple):
-    """The half of ``fit_pca`` that does not depend on k.
+    """A Gram matrix's eigenpairs: the half of ``fit_pca`` that does not depend on k.
 
     ``exponent`` is the e for which the data was centred in units of 2^e,
     ``mean`` the sample mean in those units, and ``shift`` the f by which
@@ -232,9 +232,16 @@ class _GramSpectrum(NamedTuple):
     2^(e + f).  ``axes`` are the eigenvectors of the Gram matrix above the
     rank tolerance, as columns in order of decreasing eigenvalue, and
     ``values`` their eigenvalues; ``trace`` is the Gram matrix's trace.
-    When N < d and the spectrum is kept, ``gram`` is C C^T itself, which
-    refits and scoring of the domain's rows start from; else None.  Every
-    array is read-only.
+    When N < d and the spectrum is kept, ``gram`` is C C^T itself, the K
+    that refits and scoring of the domain's rows start from; else None.
+
+    A spectrum of rows I of such a domain (``_rows_spectrum``) is of their
+    own centred Gram, taken from K in K's units: ``rows`` is I (None for
+    all rows), ``row_means`` the mean over I of each row of K[I, I] and
+    ``centre`` their mean (None and 0 for all rows, where K is centred
+    already).  A subspace fitted from K keeps its spectrum, cut to its rank
+    and with the basis's column signs on ``axes``, for scoring from K.
+    Every array but ``rows`` is read-only.
     """
 
     exponent: int
@@ -244,25 +251,9 @@ class _GramSpectrum(NamedTuple):
     values: np.ndarray
     trace: float
     gram: np.ndarray | None
-
-
-class _GramFit(NamedTuple):
-    """A subspace fitted in the Gram space of a domain with Gram matrix K.
-
-    The fit's rows I (``rows``, None for all of them) are centred at their
-    own mean; ``row_means`` holds the mean over I of each row of K[I, I] and
-    ``centre`` their mean (None and 0 when I is every row, where K is
-    centred already).  ``axes`` V, with the basis's column signs, and
-    ``values`` Lambda are the eigenpairs the basis C_I^T V Lambda^{-1/2} was
-    formed from, in the units of K.
-    """
-
-    gram: np.ndarray
-    rows: np.ndarray | None
-    row_means: np.ndarray | None
-    centre: float
-    axes: np.ndarray
-    values: np.ndarray
+    rows: np.ndarray | None = None
+    row_means: np.ndarray | None = None
+    centre: float = 0.0
 
 
 # The cancellation screen.  Working from K or from raw rows instead of
@@ -278,28 +269,32 @@ def fit_pca(data, k: int) -> Subspace:
 
     The basis holds the k principal directions of largest variance of the
     centred data C, taken from whichever of its Gram matrices is smaller:
-    the top eigenvectors of C^T C (d x d) when N >= d; when N < d, the top
-    eigenpairs (V, Lambda) of C C^T (N x N) give the directions as
-    C^T V Lambda^{-1/2} (the kernel-PCA identity), formed as one product of
-    the raw rows with V Lambda^{-1/2} less the mean's share.  If that basis
-    is outside the orthonormality contract, or the raw rows lie too far from
-    their mean for the product (see ``_MAX_AMPLIFICATION``), the basis is
-    the left singular vectors of C^T V instead, from a centred copy of the
-    rows.  If the centred data has rank rho < k, counted against the
+    C^T C (d x d) when N >= d, C C^T (N x N) when N < d.  Every input takes
+    one path: a spectrum of that Gram matrix, cut to k; its eigenvectors
+    are the basis when N >= d, and when N < d its eigenpairs (V, Lambda)
+    give the directions as C^T V Lambda^{-1/2} (the kernel-PCA identity),
+    formed by ``_column_scaled`` as one product of the raw rows with
+    V Lambda^{-1/2} less the mean's share.  If that basis is outside the
+    orthonormality contract, or the raw rows lie too far from their mean
+    for the product (see ``_MAX_AMPLIFICATION``), a copy of the rows is
+    fitted instead when the spectrum was read off K, and otherwise the
+    basis is the left singular vectors of C^T V, from a centred copy of
+    the rows.  If the centred data has rank rho < k, counted against the
     rounding of the Gram matrix, the basis has only rho columns.  Column
     signs are fixed so that the first entry of non-negligible magnitude in
     each column is non-negative, which makes the fit deterministic for a
     given input; scaling the data by a power of two scales the mean alike
     and leaves the basis bit for bit the same.
 
-    The centring and the eigendecomposition do not depend on k.  A
-    FeatureMatrix keeps them from its first fit, so a fit of it at any
-    other k only truncates the eigenvectors and forms the product; the
-    basis is bit for bit the one a fresh array of the same rows gives.  A
-    wide FeatureMatrix also keeps its centred Gram matrix K, and rows of it
-    passed as ``_Rows`` are fitted from K[I, I] with their own mean (see
-    ``_fit_rows_from_gram``).  Where that returns None, a copy of the rows
-    is fitted; their entries are not checked again.
+    The spectrum does not depend on k.  A FeatureMatrix keeps it from its
+    first fit, so a fit of it at any other k only cuts the eigenvectors and
+    forms the product; the basis is bit for bit the one a fresh array of
+    the same rows gives.  A wide FeatureMatrix also keeps its centred Gram
+    matrix K, and the spectrum of rows of it passed as ``_Rows`` is read off
+    K[I, I] (see ``_rows_spectrum``); where that fails a screen, the
+    spectrum is of a copy of the rows.
+    A subspace fitted from K keeps its spectrum, cut to its rank, for
+    ``reconstruction_errors``.
 
     Args:
         data: FeatureMatrix, ``_Rows`` of one, or (N, d) array, N >= 2.
@@ -312,20 +307,19 @@ def fit_pca(data, k: int) -> Subspace:
         ConfigError: if k is out of range for the data shape.
         DegenerateDataError: if every sample equals the first.
     """
-    if isinstance(data, _Rows):
-        fit = _fit_rows_from_gram(data, k)
-        if fit is not None:
-            return fit
-    X = _sample_array(data)
-    n, d = X.shape
+    rows = isinstance(data, _Rows)
+    X = data.matrix.data if rows else _sample_array(data)
+    n, d = data.shape if rows else X.shape
     if n < 2:
         raise DegenerateDataError(f"need at least 2 samples to fit, got {n}")
     if not 1 <= k <= min(n, d):
         raise ConfigError(
             f"k must satisfy 1 <= k <= min(N, d) = {min(n, d)}, got {k}"
         )
-    spectrum = data._spectrum if isinstance(data, FeatureMatrix) else None
+    memo = data._spectrum if isinstance(data, FeatureMatrix) else None
+    spectrum = _rows_spectrum(data) if rows else memo
     if spectrum is None:
+        X = _sample_array(data) if rows else X
         # Compare the rows, not the centred rank: the mean of identical rows
         # need not round to their value, which leaves rounding noise to fit.
         if not _fittable(X, np.arange(n)):
@@ -337,9 +331,11 @@ def fit_pca(data, k: int) -> Subspace:
     mean = np.ldexp(spectrum.mean, spectrum.exponent)
     if n >= d:
         return Subspace(basis=axes * _column_signs(axes), mean=mean)
-    fit = _column_scaled(X, None, axes, values, spectrum, mean, spectrum.trace, None, 0.0)
+    fit = _column_scaled(X, spectrum, axes, values, mean)
     if fit is not None:
         return fit
+    if spectrum.rows is not None:
+        return fit_pca(_sample_array(data), k)
     # C^T V, with C in the spectrum's units as its Gram was formed, holds the
     # principal directions times the square roots of their eigenvalues; its
     # left singular vectors are those directions, orthonormal to rounding.
@@ -357,24 +353,23 @@ def _column_signs(basis: np.ndarray) -> np.ndarray:
     return np.where(first < 0, -1.0, 1.0)
 
 
-def _column_scaled(X, rows, axes, values, spectrum, mean, trace, row_means, centre):
+def _column_scaled(X, spectrum: _GramSpectrum, axes, values, mean):
     """The subspace C^T V Lambda^{-1/2} formed from raw rows, or None.
 
-    C is rows ``rows`` of X (all when None) less ``mean``; ``axes`` V and
-    ``values`` Lambda are eigenpairs of C C^T in units of
-    2^(2 (e + f)) (e and f from ``spectrum``), and ``trace`` its trace.
+    C is the m rows ``spectrum.rows`` of X (all when None) less ``mean``;
+    ``axes`` V and ``values`` Lambda are the spectrum's eigenpairs, cut to
+    the fit's rank, in units of 2^(2 (e + f)) (e and f from ``spectrum``).
     Returns the Subspace, or None when the rows lie too far from their mean
     for the product or the basis is outside the contract.  When
-    ``spectrum`` keeps its Gram K, the Subspace carries the read-only
-    ``_GramFit`` of K, ``rows``, ``row_means`` and ``centre`` (None and 0.0
-    for all rows), V with the basis's column signs and Lambda.
+    ``spectrum`` keeps its Gram K, the Subspace carries the spectrum with
+    V, with the basis's column signs, and Lambda as its axes and values.
 
     The columns of C^T V are orthogonal with norms sqrt(Lambda), so scaling
     them gives the basis with no SVD.  C is never formed: the product is
-    X_I^T W - mean (1^T W) with W = V Lambda^{-1/2}, for the m rows I of X
-    that ``rows`` names; X_I^T W is summed over small blocks of them,
-    gathered one at a time, so no copy of all m rows is made.  Its m terms
-    per entry, summed in any order, blocks included, round column j by at most
+    X_I^T W - mean (1^T W) with W = V Lambda^{-1/2}, for the m rows I;
+    X_I^T W is summed over small blocks of them, gathered one at a time, so
+    no copy of all m rows is made.  Its m terms per entry, summed in any
+    order, blocks included, round column j by at most
     gamma_m sum_i |x_i| |w_ij| <= gamma_m (sum_i ||x_i||^2)^(1/2) ||w_j||,
     against gamma_m (sum_i ||c_i||^2)^(1/2) ||w_j|| for C^T W, sums over I.
     The ratio sum_i ||x_i||^2 / trace = 1 + m ||mean||^2 / trace is the
@@ -383,11 +378,11 @@ def _column_scaled(X, rows, axes, values, spectrum, mean, trace, row_means, cent
     the screen comes first; the contract check then catches a spectrum too
     spread for the scaling (such as eigenvalues down to the rank tolerance).
     """
-    e, f = spectrum.exponent, spectrum.shift
+    e, f, rows = spectrum.exponent, spectrum.shift, spectrum.rows
     m = X.shape[0] if rows is None else rows.size
     # In units of 2^-e neither side can overflow; the right side may
     # underflow to 0, which fails the screen, as it should.
-    spread = np.ldexp(trace, 2 * f) * (_MAX_AMPLIFICATION**2 - 1.0)
+    spread = np.ldexp(spectrum.trace, 2 * f) * (_MAX_AMPLIFICATION**2 - 1.0)
     if not m * float(np.sum(np.square(np.ldexp(mean, -e)))) <= spread:
         return None
     weights = axes / np.sqrt(values)
@@ -414,27 +409,24 @@ def _column_scaled(X, rows, axes, values, spectrum, mean, trace, row_means, cent
     except DegenerateDataError:
         return None
     if spectrum.gram is not None:
-        record = _GramFit(spectrum.gram, rows, row_means, centre, axes * signs, values)
-        for a in (row_means, record.axes, values):
-            if a is not None:
-                a.setflags(write=False)
-        object.__setattr__(subspace, "_gram", record)
+        signed = axes * signs
+        signed.setflags(write=False)
+        object.__setattr__(subspace, "_gram", spectrum._replace(axes=signed, values=values))
     return subspace
 
 
-def _fit_rows_from_gram(rows: _Rows, k: int) -> Subspace | None:
-    """``fit_pca`` of rows I of a wide domain from its kept Gram K, or None.
+def _rows_spectrum(rows: _Rows) -> _GramSpectrum | None:
+    """The spectrum of rows I of a wide domain, read off its kept Gram K, or None.
 
-    None when the domain keeps no Gram matrix, when k or I is out of range
-    for a fit (the d-space fit raises), or when a screen below fails; the
-    caller then fits a copy of the rows.  The centred Gram of the rows is
-    K[I, I] double-centred; its eigenpairs give the basis through
-    ``_column_scaled``, and the subspace remembers them for scoring.
+    None when the domain keeps no Gram matrix or when a screen below fails;
+    ``fit_pca`` then takes the spectrum of a copy of the rows.  The rows'
+    own centred Gram is K[I, I] double-centred, in K's units, and the
+    spectrum's mean is the rows' own mean.
     """
     spectrum, I, X = rows.matrix._spectrum, rows.index, rows.matrix.data
-    m, d = rows.shape
-    if spectrum is None or spectrum.gram is None or m < 2 or not 1 <= k <= min(m, d):
+    if spectrum is None or spectrum.gram is None:
         return None
+    m, d = rows.shape
     block = spectrum.gram[np.ix_(I, I)]
     row_means = block.mean(axis=1)
     centre = float(row_means.mean())
@@ -442,7 +434,7 @@ def _fit_rows_from_gram(rows: _Rows, k: int) -> Subspace | None:
     block -= row_means[:, np.newaxis]
     block -= row_means
     block += centre
-    trace = np.trace(block)
+    trace = float(np.trace(block))
     # The mean correction.  With c_i the domain-centred rows and
     # delta = mean_I c_i, entry (i, j) of the rows' own centred Gram G is
     # (c_i - delta).(c_j - delta) = K_ij - a_i - a_j + s, with a_i the mean
@@ -468,13 +460,15 @@ def _fit_rows_from_gram(rows: _Rows, k: int) -> Subspace | None:
     axes, values = _above_rounding(*np.linalg.eigh(block), max(m, d), trace)
     if not values.size:
         return None
-    axes, values = axes[:, :k], values[:k]
     # The rows' mean, by one product with the whole domain; no sum exceeds
     # max |X|.
     weights = np.zeros(X.shape[0])
     weights[I] = 1.0 / m
-    mean = weights @ X
-    return _column_scaled(X, I, axes, values, spectrum, mean, trace, row_means, centre)
+    mean = np.ldexp(weights @ X, -spectrum.exponent)
+    for a in (mean, axes, values, row_means):
+        a.setflags(write=False)
+    return spectrum._replace(mean=mean, axes=axes, values=values, trace=trace,
+                             rows=I, row_means=row_means, centre=centre)
 
 
 def _scale_exponent(*arrays: np.ndarray) -> int:
@@ -687,7 +681,7 @@ def _scores_from_gram(data, subspace: Subspace) -> tuple[np.ndarray, np.ndarray,
       squared norms are K's diagonal, the coordinates V Lambda^{1/2}.
     * ``_Rows`` P of it against a fit of rows I: the coordinates are
       V Lambda^{1/2} when P is I, else K[P, I] less the fit's mean
-      correction (see ``_fit_rows_from_gram``) times V Lambda^{-1/2}; the
+      correction (see ``_rows_spectrum``) times V Lambda^{-1/2}; the
       squared norms are K_pp - 2 a_p + s.  A pool row that fails the
       cancellation screen is scored from its own row instead.
     """
@@ -697,7 +691,7 @@ def _scores_from_gram(data, subspace: Subspace) -> tuple[np.ndarray, np.ndarray,
     kept = fit is not None and spectrum is not None and spectrum.gram is fit.gram
     if not kept or (pool is None) != (fit.rows is None):
         return None
-    e, f = spectrum.exponent, spectrum.shift
+    e, f = fit.exponent, fit.shift
     if pool is None:
         return np.diagonal(fit.gram), fit.axes * np.sqrt(fit.values), e + f
     if np.array_equal(pool, fit.rows):

@@ -43,7 +43,7 @@ PROJECTOR_TOL = 1e-9
 # and the d-space (X - mean) @ B on copied rows.
 # * Refits on test_subspace's wide unions (d <= 400, m <= 150, screened
 #   cancellation factor A <= 8): the refit's Gram moves by at most about
-#   (d / 2 + 2 m + 8) eps A trace (see _fit_rows_from_gram), 1e-12 of the
+#   (d / 2 + 2 m + 8) eps A trace (see _rows_spectrum), 1e-12 of the
 #   trace; the gap after each plane's 6 directions holds a tenth of the
 #   trace or more, so by Davis and Kahan the projectors differ by about
 #   1e-11, within PROJECTOR_TOL.  A score moves by about the same relative

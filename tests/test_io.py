@@ -88,6 +88,21 @@ class TestCsv:
         assert err.value.line == 2
         assert "oops" in str(err.value)
 
+    @pytest.mark.parametrize("text, cell", [
+        ("1,,3\n4,5,6\n7,8,9\n", "''"),
+        ("NA,2,3\n4,5,6\n", "'NA'"),
+        ("1,2,\n3,4,\n", "''"),
+    ], ids=["empty-cell", "na-cell", "trailing-comma"])
+    def test_first_row_with_a_number_is_data(self, tmp_path, text, cell):
+        """A first line with any numeric cell is data, not a header: its
+        missing or non-numeric cell fails at line 1 instead of the row being
+        dropped."""
+        path = tmp_path / "f.csv"
+        path.write_text(text)
+        with pytest.raises(DataFileError, match=f"not a number: {cell}") as err:
+            load_features(path)
+        assert err.value.line == 1
+
     def test_ragged_rows_rejected(self, tmp_path):
         path = tmp_path / "f.csv"
         path.write_text("1.0,2.0\n3.0\n")

@@ -11,8 +11,12 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from msa import classify, multifit, pipeline
+from msa.alignment import build_features
 from msa.exceptions import ConfigError, DimensionMismatchError
+from msa.grassmann import distance_matrix
 from msa.io import save_features_binary, save_features_csv, save_labels
+from msa.matching import greedy_match
+from msa.multifit import SubspaceCollection, fit_multi
 from msa.pipeline import (
     GRID_CAVEAT,
     AdaptationConfig,
@@ -24,7 +28,7 @@ from msa.pipeline import (
     run_benchmark,
     zscore,
 )
-from msa.subspace import FeatureMatrix, fit_pca
+from msa.subspace import FeatureMatrix, Subspace, fit_pca
 from msa.synthetic import planted_benchmark, random_orthogonal
 
 
@@ -37,6 +41,13 @@ PLANTED_CONFIGS = [
     AdaptationConfig(k=2, tau_s=0.2, tau_t=0.5),
 ]
 PLANTED_IDS = ["na", "sa", "tau-0.3", "tau-0.2-0.5"]
+
+# The proposed method's predictions depend on the coordinate frames of its
+# target subspaces; the tests marked with this pass once that is mended.
+FRAME_FAULT = pytest.mark.xfail(strict=True, reason=(
+    "build_features writes each matched pair's rows in its own target "
+    "frame, and 1-NN compares rows of different frames (ROADMAP item 1)"
+))
 
 
 class TestAdaptationConfig:
@@ -233,17 +244,18 @@ class TestAdapt:
 
     @pytest.mark.parametrize("config", [
         *PLANTED_CONFIGS[:2],
-        pytest.param(PLANTED_CONFIGS[2], marks=pytest.mark.xfail(strict=True, reason=(
-            "build_features writes each matched pair's rows in its own target "
-            "frame, and 1-NN compares rows of different frames (ROADMAP item 1)"
-        ))),
-    ], ids=PLANTED_IDS[:3])
+        *(pytest.param(c, marks=FRAME_FAULT) for c in PLANTED_CONFIGS[2:]),
+    ], ids=PLANTED_IDS)
     def test_common_rotation_keeps_predictions(self, config):
         """Both domains times one random orthogonal Q of R^8: a change of
         coordinates, which no prediction may see.  Planted domains have no
         1-NN near tie that the rounding of the rotation could turn, so no
-        row is allowed to change.  The proposed method changes 7-38 of 200
-        predictions on 7 of the 10 seeds."""
+        row is allowed to change.  The proposed method at tau 0.3 changes
+        7-38 of 200 predictions on 7 of the 10 seeds; at tau_s 0.2, tau_t
+        0.5 it changes 2 on seed 9, the one seed whose target splits in two.
+        Those rows' second-nearest source rows lie farther than their nearest
+        by 6.4 and 127 times the nearest distance: the frame fault, not a
+        near tie."""
         for seed in range(10):
             src, tgt, _ = planted_benchmark(seed=seed)
             q = random_orthogonal(np.random.default_rng(100 + seed), src.n_features)
@@ -254,6 +266,33 @@ class TestAdapt:
                 config,
             )
             assert np.array_equal(moved.prediction.predictions, base), seed
+
+    @FRAME_FAULT
+    def test_target_sign_flip_keeps_predictions(self):
+        """A basis column of a target subspace times -1, with its coordinate
+        column: the same subspace and the same samples, so no prediction
+        may change.  Each of the four flips changes 1-34 of 200 predictions
+        on every planted seed at k 2, tau 0.3."""
+        for seed in range(10):
+            src, tgt, _ = planted_benchmark(seed=seed)
+            src_fit, tgt_fit = fit_multi(src, 2, 0.3), fit_multi(tgt, 2, 0.3)
+
+            def predictions(tgt_fit):
+                distances, overlap = distance_matrix(src_fit.subspaces, tgt_fit.subspaces)
+                features = build_features(src_fit, tgt_fit, greedy_match(distances), overlap)
+                train, test = FeatureMatrix(features[0], src.labels), FeatureMatrix(features[1])
+                return classify.nn_classify(train, test).predictions
+
+            base = predictions(tgt_fit)
+            for t, sub in enumerate(tgt_fit.subspaces):
+                for j in range(sub.rank):
+                    flip = np.ones(sub.rank)
+                    flip[j] = -1.0
+                    subspaces, coords = list(tgt_fit.subspaces), list(tgt_fit.coords)
+                    subspaces[t] = Subspace(sub.basis * flip, sub.mean)
+                    coords[t] = coords[t] * flip
+                    flipped = SubspaceCollection(subspaces, tgt_fit.assignment, coords)
+                    assert np.array_equal(predictions(flipped), base), (seed, t, j)
 
     def test_unlabeled_target_scores_nothing(self):
         src, tgt, _ = planted_benchmark(seed=0)

@@ -588,10 +588,11 @@ class TestWideBasis:
 
 def test_no_fallback_on_the_generated_domains():
     """On the benchmark's seed-0 decaf and surf domains (surf z-scored) no
-    wide fit takes the SVD or fits a copy of its rows, every scoring is
-    served from the kept Gram, and none rescores a row from the rows, at the
-    benchmark's k and tau.  Each domain is fitted once first: forming its
-    Gram centres the column blocks through ``_centred`` too."""
+    wide fit takes the SVD or fits a copy of its rows: every rows spectrum
+    is read off the kept Gram and every column scaling succeeds.  Every
+    scoring is served from the kept Gram, and none rescores a row from the
+    rows, at the benchmark's k and tau.  Each domain is fitted once first:
+    forming its Gram centres the column blocks through ``_centred`` too."""
     import sys
     from pathlib import Path
 
@@ -601,11 +602,16 @@ def test_no_fallback_on_the_generated_domains():
     from msa.multifit import fit_multi
     from msa.pipeline import zscore
 
-    fits, fallbacks, served = [], [], []
+    fits, fallbacks, scaled, served = [], [], [], []
 
-    def rows_fit(rows, k):
-        out = fit_rows(rows, k)
+    def rows_fit(rows):
+        out = rows_spectrum(rows)
         (fits if out is not None else fallbacks).append(rows.shape)
+        return out
+
+    def scaling(*args):
+        out = column_scaled(*args)
+        scaled.append(out is not None)
         return out
 
     def gram_scores(data, sub):
@@ -613,14 +619,16 @@ def test_no_fallback_on_the_generated_domains():
         served.append(out is not None)
         return out
 
-    fit_rows, scores = subspace._fit_rows_from_gram, subspace._scores_from_gram
+    rows_spectrum, column_scaled = subspace._rows_spectrum, subspace._column_scaled
+    scores = subspace._scores_from_gram
     for workload, ks in (("decaf-grid", (80,)), ("surf-grid", (20, 45, 80))):
         for name, (x, _) in generate.domains(workload, 0).items():
             if x.shape[0] >= x.shape[1]:
                 continue
             fm = FeatureMatrix(zscore(x) if workload == "surf-grid" else x)
             with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd, \
-                    mock.patch.object(subspace, "_fit_rows_from_gram", side_effect=rows_fit), \
+                    mock.patch.object(subspace, "_rows_spectrum", side_effect=rows_fit), \
+                    mock.patch.object(subspace, "_column_scaled", side_effect=scaling), \
                     mock.patch.object(subspace, "_scores_from_gram", side_effect=gram_scores):
                 fit_pca(fm, ks[0])
                 with mock.patch.object(subspace, "_centred", wraps=subspace._centred) as rescored:
@@ -630,6 +638,7 @@ def test_no_fallback_on_the_generated_domains():
             assert svd.call_count == 0, (workload, name)
             assert rescored.call_count == 0, (workload, name)
     assert fits and not fallbacks
+    assert scaled and all(scaled)
     assert served and all(served)
 
 
@@ -753,8 +762,8 @@ def test_rank_within_the_correction_is_left_to_the_d_space(rng):
     rows = np.arange(m)
     scaled = []
 
-    def recording(*args):
-        scaled.append((args[2].shape[1], column_scaled(*args)))
+    def recording(X, spectrum, axes, values, mean):
+        scaled.append((axes.shape[1], column_scaled(X, spectrum, axes, values, mean)))
         return scaled[-1][1]
 
     column_scaled = subspace._column_scaled
