@@ -31,20 +31,21 @@ units the screen works in and with eps and tiny of its precision,
 float32's larger w covers the rounding of the inputs, and its floor float32
 underflow.
 
-A G whose float64 form would exceed ``_MAX_WHOLE_BYTES`` (32 MiB) is formed
-in blocks of h test rows, h = max(1, _BLOCK_BYTES // (s N_train)) for
-numbers of s bytes, and each block is reduced while it is still in cache,
-so at most one ``_BLOCK_BYTES`` (2 MiB) block of G is held.  Blocking pays
-only while the width d is below h, since each block's product reads all of
-the training rows again.  For d >= h, or a float64 G of at most 32 MiB, all
-test rows form one block, the whole N_test x N_train G.  No bound depends on
-the blocking, so the labels are exactly ``cdist``'s either way.
+Every G, whole or blocked, forward or swapped, is ranked in blocks of at
+most ``_BLOCK_BYTES`` (2 MiB), each while it is still in cache: h test rows
+at a time, h = max(1, _BLOCK_BYTES // (s N_train)) for numbers of s bytes.
+The product itself is formed in those blocks, holding one block of G, only
+when the width d is below h (each block's product reads all of the training
+rows again) and G's float64 form exceeds ``_MAX_WHOLE_BYTES`` (32 MiB);
+otherwise the whole N_test x N_train G is formed and ranked in place.  No
+bound depends on the blocking, so the labels are exactly ``cdist``'s.
 
 One product serves both directions: ``nn_classify(b, a)`` ranks
 ``nn_classify(a, b)``'s G by columns.  So ``nn_classify_both(a, b)``, when
-its first stage forms the whole G, also screens G's columns against the
-swapped call's own bound (the one above with a and b exchanged).  NA runs
-it in ``run_benchmark``, which runs both directions of every pair.
+its first stage forms the whole G, first ranks blocks of G's columns, copied
+transposed into one buffer, against the swapped call's own bound (the one
+above with a and b exchanged), and then G's rows.  NA runs it in
+``run_benchmark``, which runs both directions of every pair.
 
 scipy is imported by the first near tie, not with this module: ``import
 msa`` loads numpy alone, and most inputs never have a near tie."""
@@ -169,8 +170,9 @@ def _screen(a: np.ndarray, b: np.ndarray, dtype, reverse: bool = False):
     the inputs), and whether its gap fails to exceed twice the bound.
 
     When ``reverse`` asks for it and G is formed whole, also returns the
-    same pair for each row of ``b`` against ``a``, screened from G's columns
-    (see ``_screen_columns``); else None in its place."""
+    same pair for each row of ``b`` against ``a``, ranked from G's columns;
+    else None in its place.  Every block of G, of rows or of columns, is
+    ranked by ``_rank``; see the module docstring for the blocks."""
     n_test, d = a.shape
     n_train = b.shape[0]
     eps, tiny = np.finfo(dtype).eps, np.finfo(dtype).tiny
@@ -237,64 +239,59 @@ def _screen(a: np.ndarray, b: np.ndarray, dtype, reverse: bool = False):
         return 4 * (d + w) * (eps * (sq_x + sq_y.max()) + floor)
 
     # A block of h rows keeps h entries of G per training row in cache, and
-    # its product re-packs the d entries of that row.  Blocking pays only
-    # while d < h and G is too large to be formed whole.  That size is
-    # judged on the float64 G whichever precision forms it, so memory stays
-    # as it was: a whole float32 G of 2000 x 2400 (19.2 MB) ran adapt-tall
-    # 15-20% faster, but raised its peak RSS from 74 to 91 MB.
+    # its product re-packs the d entries of that row.  Blocking the product
+    # pays only while d < h and G is too large to be formed whole.  That
+    # size is judged on the float64 G whichever precision forms it, so
+    # memory stays as it was: a whole float32 G of 2000 x 2400 (19.2 MB) ran
+    # adapt-tall 15-20% faster, but raised its peak RSS from 74 to 91 MB.
     height = max(1, _BLOCK_BYTES // (a.itemsize * n_train))
-    if d >= height or 8 * n_test * n_train <= _MAX_WHOLE_BYTES:
-        height = n_test
-    whole = reverse and height == n_test
-    nearest = np.empty(n_test, dtype=np.intp)
-    unsettled = np.empty(n_test, dtype=bool)
-    forward = bound(sq_a, sq_b)
-    buffer = np.empty((min(height, n_test), n_train), dtype=a.dtype)
-    for lo in range(0, n_test, height):
-        hi = min(lo + height, n_test)
-        g = buffer[: hi - lo]
-        np.matmul(a[lo:hi], b.T, out=g)  # the only block of G held
-        swapped = _screen_columns(g, 0.5 * sq_a, bound(sq_b, sq_a)) if whole else None
-        np.subtract(half_sq_b, g, out=g)  # g = (||b||^2 - 2 a.b) / 2
-        nearest[lo:hi], unsettled[lo:hi] = _settle(g, forward[lo:hi])
-    return nearest, unsettled, swapped
+    swapped = None
+    if d < height and 8 * n_test * n_train > _MAX_WHOLE_BYTES:
+        buffer = np.empty((height, n_train), dtype=a.dtype)
+
+        def block(lo, hi):  # the only block of G held
+            g = np.matmul(a[lo:hi], b.T, out=buffer[: hi - lo])
+            return np.subtract(half_sq_b, g, out=g)
+    else:
+        product = np.matmul(a, b.T)
+        if reverse:
+            # Ranked before the rows below overwrite G: blocks of G's
+            # columns go, transposed, into one buffer, so that each block's
+            # rows are whole columns.  Row blocks with a running best per
+            # column took a fifth longer on a 1123 x 958 G, and argmin
+            # across rows copies each block, which doubled the temporaries.
+            width = max(1, _BLOCK_BYTES // (a.itemsize * n_test))
+            buffer = np.empty((min(width, n_train), n_test), dtype=a.dtype)
+            half_sq_a = 0.5 * sq_a
+
+            def column_block(lo, hi):
+                return np.subtract(half_sq_a, product[:, lo:hi].T, out=buffer[: hi - lo])
+
+            swapped = _rank(column_block, bound(sq_b, sq_a), width)
+
+        def block(lo, hi):  # rows of G, overwritten in place
+            return np.subtract(half_sq_b, product[lo:hi], out=product[lo:hi])
+    return (*_rank(block, bound(sq_a, sq_b), height), swapped)
 
 
-def _screen_columns(product: np.ndarray, half_sq_a: np.ndarray, bound: np.ndarray):
-    """The swapped call's screen of a whole ``product`` A B^T: each
-    column's nearest row under ||a||^2 / 2 - a.b, and whether its gap fails
-    to exceed twice ``bound``.
-
-    Blocks of columns are copied, transposed, into one buffer of at most
-    ``_BLOCK_BYTES`` (or one column), so that each block's rows are whole
-    columns and are ranked as ``_screen`` ranks its rows.  Row blocks with a
-    running best per column took a fifth longer on a 1123 x 958 G, and
-    ``argmin`` across rows copies each block, which doubled the
-    temporaries."""
-    n_rows, n_cols = product.shape
-    width = max(1, _BLOCK_BYTES // (product.itemsize * n_rows))
-    nearest = np.empty(n_cols, dtype=np.intp)
-    unsettled = np.empty(n_cols, dtype=bool)
-    buffer = np.empty((min(width, n_cols), n_rows), dtype=product.dtype)
-    for lo in range(0, n_cols, width):
-        hi = min(lo + width, n_cols)
-        g = buffer[: hi - lo]
-        np.subtract(half_sq_a, product[:, lo:hi].T, out=g)
-        nearest[lo:hi], unsettled[lo:hi] = _settle(g, bound[lo:hi])
+def _rank(block, bound: np.ndarray, height: int):
+    """Each row's argmin, lowest column first, and whether its gap to the
+    row's second smallest fails to exceed twice ``bound``, ``height`` rows at
+    a time: ``block(lo, hi)`` returns rows lo:hi of (||y||^2 - 2 x.y) / 2,
+    which are overwritten.  A tie's gap is 0; a non-finite gap or bound fails."""
+    n = bound.size
+    nearest = np.empty(n, dtype=np.intp)
+    unsettled = np.empty(n, dtype=bool)
+    for lo in range(0, n, height):
+        hi = min(lo + height, n)
+        g = block(lo, hi)
+        rows = np.arange(hi - lo)
+        best_index = g.argmin(axis=1)
+        best = g[rows, best_index]
+        g[rows, best_index] = np.inf
+        nearest[lo:hi] = best_index
+        unsettled[lo:hi] = ~(g.min(axis=1) - best > bound[lo:hi])  # gap > 2 bound_i
     return nearest, unsettled
-
-
-def _settle(g: np.ndarray, bound: np.ndarray):
-    """Each row's argmin in ``g``, lowest column first, and whether its gap
-    to the row's second smallest fails to exceed twice ``bound``.  A tie
-    leaves a gap of 0, and a non-finite gap or bound fails the test.
-    Overwrites ``g``."""
-    rows = np.arange(g.shape[0])
-    best_index = g.argmin(axis=1)
-    best = g[rows, best_index]
-    g[rows, best_index] = np.inf
-    half_gap = g.min(axis=1) - best
-    return best_index, ~(half_gap > bound)  # gap > 2 bound_i
 
 
 def evaluate_accuracy(predictions, truth) -> float:

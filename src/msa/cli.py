@@ -16,6 +16,7 @@ import sys
 
 from . import pipeline
 from .exceptions import ConfigError, DataFileError, DegenerateDataError, DimensionMismatchError
+from .io import _not_utf8
 
 EXIT_OK = 0
 EXIT_DATA = 2
@@ -74,10 +75,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_grid(path) -> list[pipeline.AdaptationConfig]:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             entries = json.load(fh)
     except OSError as exc:
         raise DataFileError(str(exc), path=path) from None
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
     except json.JSONDecodeError as exc:
         raise DataFileError(f"invalid JSON: {exc}", path=path) from None
     if not isinstance(entries, list) or not entries:

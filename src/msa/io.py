@@ -13,7 +13,8 @@ Two feature-file formats are supported and auto-detected:
   and nothing after them.
 
 A label file holds one integer per line, aligned with the feature rows.
-Text files are read as UTF-8; a leading byte-order mark is skipped.
+Text files are read as UTF-8; a leading byte-order mark is skipped, and a
+byte UTF-8 cannot decode fails with DataFileError.
 
 A dataset directory holds one feature file and one label file per domain,
 named ``<domain>_<kind>.<ext>`` and ``<domain>_<kind>.labels`` where kind
@@ -154,7 +155,16 @@ def load_features(path) -> np.ndarray:
         head = fh.read(len(MAGIC))
     if head == MAGIC:
         return _load_binary(path)
-    return _load_csv(path)
+    try:
+        return _load_csv(path)
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
+
+
+def _not_utf8(path, exc: UnicodeDecodeError) -> DataFileError:
+    """The error for a text file holding bytes that UTF-8 cannot decode."""
+    byte = exc.object[exc.start]
+    return DataFileError(f"not UTF-8 text: {exc.reason} (byte 0x{byte:02x})", path=path)
 
 
 def save_features_csv(path, data) -> None:
@@ -178,16 +188,19 @@ def load_labels(path) -> np.ndarray:
         raise DataFileError("no such file", path=path)
     labels = []
     with open(path, "r", encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                labels.append(int(text))
-            except ValueError:
-                raise DataFileError(
-                    f"not an integer label: {text!r}", path=path, line=lineno
-                ) from None
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                text = line.strip()
+                if not text:
+                    continue
+                try:
+                    labels.append(int(text))
+                except ValueError:
+                    raise DataFileError(
+                        f"not an integer label: {text!r}", path=path, line=lineno
+                    ) from None
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from None
     if not labels:
         raise DataFileError("no labels found", path=path)
     return np.array(labels, dtype=np.int64)

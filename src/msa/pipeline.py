@@ -447,18 +447,22 @@ def run_benchmark(
 
 
 def _describe_best(report: AdaptationReport | None) -> str:
-    """One pair's best run for the progress log: its config and accuracy."""
+    """One pair's best run for the progress log: its config, subspace
+    counts (none for NA), feature width and accuracy."""
     if report is None:
         return "none (no config fits this pair)"
     config = report.config
-    settings = "" if config.method == "na" else f" k={config.k}"
-    if config.method == "proposed":
-        settings += (
-            f" tau_s={config.tau_s} tau_t={config.tau_t}"
-            f" max_subspaces={config.max_subspaces}"
-        )
+    settings = ""
+    if config.method != "na":
+        settings = f" k={config.k}"
+        if config.method == "proposed":
+            settings += (
+                f" tau_s={config.tau_s} tau_t={config.tau_t}"
+                f" max_subspaces={config.max_subspaces}"
+            )
+        settings += f", subspaces {report.num_src_subspaces} source {report.num_tgt_subspaces} target"
     accuracy = "n/a" if report.accuracy is None else f"{report.accuracy:.2f}"
-    return f"{config.method}{settings}, accuracy {accuracy}"
+    return f"{config.method}{settings}, width {report.feature_dim}, accuracy {accuracy}"
 
 
 def format_table(result: BenchmarkResult) -> str:

@@ -659,6 +659,29 @@ class TestSharedProduct:
             assert screens == [("float64", 2)]
             assert fallback_rows == fallen
 
+    def test_whole_g_is_ranked_in_place(self, rng, screens):
+        """A whole float64 G of 1123 x 958 (8.6 MB, d = 1100) is ranked in
+        place, in blocks.  nn_classify then holds G and vectors of n_test
+        or n_train entries (about 130 kB); nn_classify_both holds one
+        _BLOCK_BYTES buffer of G's columns beside them.  A copy of any
+        block of G's rows, up to 2 MiB, would overrun either."""
+        def peak(call):
+            call()  # warm up
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        train, test = _labelled(rng.normal(size=(958, 1100)), rng.normal(size=(1123, 1100)))
+        g = 8 * 1123 * 958
+        one_way = peak(lambda: nn_classify(train, test))
+        assert g < one_way <= g + (256 << 10)
+        both = peak(lambda: nn_classify_both(train, test))
+        assert g + (1 << 20) < both <= g + msa.classify._BLOCK_BYTES + (256 << 10)
+        assert screens[0] == ("float64", 1123) and ("float64", 958) not in screens
+
     def test_second_direction_screens_alone_without_a_whole_first_stage(self, rng, monkeypatch, screens):
         """Both sets must be labelled.  A blocked G is never whole, and
         past 2^+-400 stage 1 forms no product and stage 2 is not the

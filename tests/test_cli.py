@@ -100,6 +100,22 @@ class TestAdaptCommand:
         pair_files["src"].write_text("1.0,junk\n2.0,3.0\n")
         assert main(_adapt_argv(pair_files)) == 2
 
+    @pytest.mark.parametrize("key", ["src", "npy", "src_labels"])
+    def test_undecodable_file_exits_2(self, pair_files, tmp_path, capsys, key):
+        """A latin-1 CSV, a .npy file given as --src and a label file with
+        a byte UTF-8 cannot decode: one error line naming the file."""
+        if key == "npy":
+            key, bad = "src", tmp_path / "src.npy"
+            np.save(bad, load_features(pair_files["src"]))
+        else:
+            bad = pair_files[key]
+            bad.write_bytes(bad.read_bytes().replace(b"\n", b"\n\xe9", 1))
+        pair_files[key] = bad
+        assert main(_adapt_argv(pair_files)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: not UTF-8 text") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_label_count_mismatch_names_label_file(self, pair_files, tmp_path, capsys):
         short = tmp_path / "short.labels"
         short.write_text("".join(f"{i % 2}\n" for i in range(18)))
@@ -286,6 +302,26 @@ class TestBenchmarkCommand:
             "--grid", str(bad),
         ]
         assert main(argv) == 2
+
+    def test_undecodable_grid_exits_2(self, dataset_dir, tmp_path, capsys):
+        bad = tmp_path / "grid.json"
+        bad.write_bytes(b'[{"k": 1, "method": "na\xe9"}]')
+        argv = [
+            "benchmark", "--dir", str(dataset_dir), "--features", "plane",
+            "--grid", str(bad),
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: not UTF-8 text: invalid continuation byte (byte 0xe9)\n"
+
+    def test_grid_with_byte_order_mark_runs(self, dataset_dir, grid_file, capsys):
+        grid_file.write_text("\ufeff" + grid_file.read_text(), encoding="utf-8")
+        argv = [
+            "benchmark", "--dir", str(dataset_dir), "--features", "plane",
+            "--grid", str(grid_file), "--zscore", "off",
+        ]
+        assert main(argv) == 0
+        assert "A-B" in capsys.readouterr().out
 
     def test_bad_grid_entry_exits_3(self, dataset_dir, tmp_path, capsys):
         bad = tmp_path / "grid.json"

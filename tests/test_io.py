@@ -80,6 +80,19 @@ class TestCsv:
             load_features(path)
         assert err.value.line == 2
 
+    def test_undecodable_bytes_rejected(self, tmp_path):
+        """A latin-1 CSV and a .npy file hold bytes UTF-8 cannot decode:
+        past the first line, where np.loadtxt takes the decoding error for
+        a bad cell, and at byte 0."""
+        latin = tmp_path / "latin.csv"
+        latin.write_bytes(b"1,2\n3,\xe94\n")
+        array = tmp_path / "x.npy"
+        np.save(array, np.zeros((3, 2)))
+        for path, byte in ((latin, "0xe9"), (array, "0x93")):
+            with pytest.raises(DataFileError, match=f"not UTF-8 text: .*byte {byte}") as err:
+                load_features(path)
+            assert err.value.path == path
+
     def test_malformed_cell_reports_line(self, tmp_path):
         path = tmp_path / "f.csv"
         path.write_text("1.0,2.0\n3.0,oops\n5.0,6.0\n")
@@ -198,6 +211,13 @@ class TestLabels:
         path = tmp_path / "y.labels"
         path.write_text("\ufeff1\n2\n", encoding="utf-8")
         assert np.array_equal(load_labels(path), [1, 2])
+
+    def test_undecodable_bytes_rejected(self, tmp_path):
+        path = tmp_path / "y.labels"
+        path.write_bytes(b"0\n\xff\n1\n")
+        with pytest.raises(DataFileError, match="not UTF-8 text: .*byte 0xff") as err:
+            load_labels(path)
+        assert err.value.path == path
 
     def test_non_integer_reports_line(self, tmp_path):
         path = tmp_path / "y.labels"

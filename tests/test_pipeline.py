@@ -776,13 +776,15 @@ class TestRunBenchmark:
         source, target = domains["alpha"], domains["beta"]
         na = AdaptationConfig(k=1, method="na")
         columns = []
-        screen_columns = classify._screen_columns
+        screen = classify._screen
 
-        def counting(*args):
-            columns.append(args[0].shape)
-            return screen_columns(*args)
+        def counting(a, b, *args, **kwargs):
+            nearest, unsettled, swapped = screen(a, b, *args, **kwargs)
+            if swapped is not None:  # G's columns were ranked too
+                columns.append((len(a), len(b)))
+            return nearest, unsettled, swapped
 
-        monkeypatch.setattr(classify, "_screen_columns", counting)
+        monkeypatch.setattr(classify, "_screen", counting)
         single = adapt(source, target, na)
         assert columns == []
         nearest = cdist(target.data, source.data, "sqeuclidean").argmin(axis=1)
@@ -809,6 +811,20 @@ class TestRunBenchmark:
             )
             assert line.endswith(f"accuracy {top.accuracy:.2f}")
             assert f"best {top.config.method}" in line
+            counts = f", subspaces {top.num_src_subspaces} source {top.num_tgt_subspaces} target"
+            assert line.endswith(
+                f"{'' if top.config.method == 'na' else counts},"
+                f" width {top.feature_dim}, accuracy {top.accuracy:.2f}"
+            )
+
+    def test_progress_line_gives_na_its_width_only(self, dataset_dir, caplog):
+        na = AdaptationConfig(k=1, method="na")
+        with caplog.at_level(logging.INFO, logger="msa.pipeline"):
+            result = run_benchmark(dataset_dir, "plane", grid=[na], normalize=False)
+        lines = [r.getMessage() for r in caplog.records if r.name == "msa.pipeline"]
+        assert [line.split(", best ")[1] for line in lines] == [
+            f"na, width 8, accuracy {r.accuracy:.2f}" for r in result.runs
+        ]
 
     def test_table_renders(self, dataset_dir, small_grid):
         result = run_benchmark(dataset_dir, "plane", grid=small_grid, normalize=False)
